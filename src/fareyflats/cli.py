@@ -48,6 +48,11 @@ from .slopes import Slope, distance
 
 ENV_OUTPUT_DIR = "FAREYFLATS_OUTPUT_DIR"
 
+# The truncation at height H has at most 1 + H*(2H + 1) vertices (1/0 and
+# every p/q with |p| <= H, 1 <= q <= H).  Commands that build one refuse a
+# height whose bound exceeds this budget (H = 315 is the largest accepted).
+GRAPH_VERTEX_BUDGET = 200_000
+
 
 class CliError(Exception):
     """Bad usage or bad input; maps to exit code 1."""
@@ -115,9 +120,20 @@ def _cmd_farey_geodesics(args) -> Result:
     return Result(geodesics(a, b, height).to_json_dict())
 
 
+def _graph_height(height: int) -> int:
+    """The height, once its truncation is known to fit the vertex budget."""
+    bound = 1 + height * (2 * height + 1)
+    if height < 1 or bound > GRAPH_VERTEX_BUDGET:
+        raise CliError(
+            f"--height {height} is out of range: the truncation must have a "
+            f"height >= 1 and at most {GRAPH_VERTEX_BUDGET} vertices"
+        )
+    return height
+
+
 def _cmd_farey_ball(args) -> Result:
     center = _slope(args.center)
-    height = max(args.height, center.height)
+    height = _graph_height(max(args.height, center.height))
     ball = build_ball(center, args.radius, height)
     return Result(ball.to_json_dict(), dot=ball.to_dot())
 
@@ -129,7 +145,10 @@ def _cmd_farey_check_subgraph(args) -> Result:
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad subgraph fixture: {exc}") from None
     center = _slope(args.center)
-    host = build_ball(center, args.ball_radius, args.height)
+    height = _graph_height(args.height)
+    if center.height > height:
+        raise CliError("--height must cover the center")
+    host = build_ball(center, args.ball_radius, height)
     stray = set(sub.vertices) - set(host.vertices)
     if stray:
         raise CliError(

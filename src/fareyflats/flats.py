@@ -421,7 +421,7 @@ class WeightedMetric:
     def weighted_distance(
         self, u: Sequence[Coordinate], v: Sequence[Coordinate]
     ) -> int:
-        if len(u) != len(v) != len(self.weights):
+        if not (len(u) == len(v) == len(self.weights)):
             raise ValueError("rank mismatch")
         total = 0
         for w, a, b in zip(self.weights, u, v):

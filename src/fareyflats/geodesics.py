@@ -1,23 +1,26 @@
 """Truncated Farey graphs, balls, geodesic enumeration, and subgraph checks.
 
-Everything here works inside an explicit height truncation.  The closed
-form :func:`fareyflats.slopes.distance` is the ground truth for lengths;
-:func:`bfs_distance` exists as an independent oracle computed from nothing
-but the adjacency relation, so the two can be checked against each other.
+The closed form :func:`fareyflats.slopes.distance` is the ground truth for
+lengths; :func:`bfs_distance` exists as an independent oracle computed from
+nothing but the adjacency relation inside a height truncation, so the two
+can be checked against each other.  Balls and subgraph checks also work
+inside an explicit truncation.
 
-Geodesic enumeration is ball-relative: the set of geodesics between two
-slopes is computed inside the height-H truncation, then recomputed at 2H,
-and flagged as truncated when the two disagree.
+Geodesic enumeration needs no truncation.  Every geodesic between two
+slopes lies in their ladder, the strip of Farey triangles crossed by the
+hyperbolic segment joining them, which is read off the continued fraction
+of one endpoint in the frame where the other is 1/0.  No ladder vertex is
+higher than the higher endpoint.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .slopes import Slope, distance, neighbors, slopes_up_to
+from .slopes import Slope, _frame, neighbors, slopes_up_to
 
 
 class FareyGraph:
@@ -85,10 +88,12 @@ def bfs_distance(a: Slope, b: Slope, height_bound: int) -> int | None:
 
 @dataclass(frozen=True)
 class GeodesicSet:
-    """All length-minimal paths between two slopes, found inside a truncation.
+    """All length-minimal paths between two slopes in the infinite graph.
 
-    truncated is True when recomputing at twice the height bound changed
-    the answer, i.e. the truncation was too tight to be conclusive.
+    height_bound is the larger of the requested bound and the endpoints'
+    heights; no path vertex exceeds it.  truncated is always False, since
+    the ladder is exhaustive; the field and its JSON key are kept so the
+    output format does not change.
     """
 
     a: Slope
@@ -110,55 +115,55 @@ class GeodesicSet:
         }
 
 
-def _geodesics_at(a: Slope, b: Slope, length: int, height_bound: int):
-    graph = get_graph(height_bound)
-    if a not in graph or b not in graph:
-        raise ValueError("both endpoints must respect the height bound")
-    src, dst = graph.index[a], graph.index[b]
-    level = {src: 0}
-    frontier = deque([src])
-    while frontier:
-        i = frontier.popleft()
-        if level[i] >= length:
-            continue
-        for j in graph.adj[i]:
-            if j not in level:
-                level[j] = level[i] + 1
-                frontier.append(j)
-    if dst not in level or level[dst] != length:
-        return ()
-    # Walk back from b through strictly decreasing levels.
-    paths: list[tuple[Slope, ...]] = []
-    stack: list[tuple[int, tuple[int, ...]]] = [(dst, (dst,))]
-    while stack:
-        i, tail = stack.pop()
-        if i == src:
-            paths.append(tuple(graph.vertices[k] for k in reversed(tail)))
-            continue
-        for j in sorted(graph.adj[i], key=lambda k: graph.vertices[k].sort_key()):
-            if level.get(j) == level[i] - 1:
-                stack.append((j, tail + (j,)))
-    return tuple(sorted(paths, key=lambda p: tuple(s.sort_key() for s in p)))
+def _ladder(a: Slope, b: Slope) -> dict[Slope, set[Slope]]:
+    """Adjacency of the ladder from a to b, less the spokes no geodesic uses.
+
+    In the frame where a is 1/0, b is p/q = [a0; a1, ..., an].  The ladder
+    starts with the edge 1/0 -- a0/1; fan k then pivots on the convergent
+    p_{k-1}/q_{k-1}, and its spokes (p_{k-2} + j*p_{k-1})/(q_{k-2} +
+    j*q_{k-1}), j = 0..a_k, each join the pivot and the next spoke.  For
+    a_k >= 3 only the end spokes are kept: an inner spoke touches only the
+    pivot and its two neighbours, so a geodesic through it would walk the
+    fan end to end, a_k steps where the pivot takes 2.  Convergents are
+    carried as vectors in a's coordinates, through the inverse frame map.
+    """
+    adj: dict[Slope, set[Slope]] = defaultdict(set)
+    if a == b:
+        return adj
+
+    def join(u: Slope, w: Slope) -> None:
+        adj[u].add(w)
+        adj[w].add(u)
+
+    x, y, p, q = _frame(a, b)
+    a0, rem = divmod(p, q)
+    prev, cur = (a.p, a.q), (a0 * a.p - y, a0 * a.q + x)
+    join(a, Slope(*cur))
+    while rem:
+        ak, q, rem = q // rem, rem, q % rem
+        pivot = Slope(*cur)
+        spokes = [
+            Slope(prev[0] + j * cur[0], prev[1] + j * cur[1])
+            for j in (range(ak + 1) if ak <= 2 else (0, ak))
+        ]
+        for j, spoke in enumerate(spokes):
+            join(pivot, spoke)
+            if ak <= 2 and j:
+                join(spokes[j - 1], spoke)
+        prev, cur = cur, (prev[0] + ak * cur[0], prev[1] + ak * cur[1])
+    return adj
 
 
 def geodesics(a: Slope, b: Slope, height_bound: int) -> GeodesicSet:
-    """Enumerate geodesics inside the truncation, with a stability flag.
-
-    The target length is the exact infinite-graph distance, so paths found
-    here are true geodesics; the flag only reports whether the *set* is
-    still growing when the height bound is doubled.
-    """
-    length = distance(a, b)
-    need = max(height_bound, a.height, b.height)
-    here = _geodesics_at(a, b, length, need)
-    wider = _geodesics_at(a, b, length, 2 * need)
+    """Every geodesic from a to b, found by breadth-first search in the ladder."""
+    length, paths = _shortest_paths(_ladder(a, b), a, b)
     return GeodesicSet(
         a=a,
         b=b,
         length=length,
-        height_bound=need,
-        paths=here,
-        truncated=(here != wider),
+        height_bound=max(height_bound, a.height, b.height),
+        paths=paths,
+        truncated=False,
     )
 
 
@@ -302,10 +307,8 @@ class Subgraph:
         return dist
 
 
-def _ball_geodesics(
-    ball: FareyBall, adj: dict[Slope, tuple[Slope, ...]], a: Slope, b: Slope
-):
-    """All shortest a-b paths using only the ball's vertices and edges."""
+def _shortest_paths(adj: dict[Slope, Iterable[Slope]], a: Slope, b: Slope):
+    """(length, paths): all shortest a-b paths in the graph adj, sorted."""
     level = {a: 0}
     frontier = deque([a])
     while frontier:
@@ -346,7 +349,7 @@ def is_totally_geodesic(
     vs = sorted(sub.vertices, key=Slope.sort_key)
     for i, x in enumerate(vs):
         for y in vs[i + 1 :]:
-            _, paths = _ball_geodesics(ball, adj, x, y)
+            _, paths = _shortest_paths(adj, x, y)
             for path in paths:
                 inside = all(v in sub.vertices for v in path) and all(
                     frozenset((path[k], path[k + 1])) in sub.edges

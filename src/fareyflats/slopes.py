@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True, order=False)
@@ -173,9 +172,12 @@ def neighbors(a: Slope, height: int) -> list[Slope]:
     return sorted(found, key=Slope.sort_key)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def slopes_up_to(height: int) -> tuple[Slope, ...]:
-    """Every slope of height <= the bound (including 1/0), sorted."""
+    """Every slope of height <= the bound (including 1/0), sorted.
+
+    The cache is bounded so that it does not grow with the heights asked.
+    """
     if height < 1:
         raise ValueError("height bound must be >= 1")
     out = [INFINITY]
@@ -187,64 +189,42 @@ def slopes_up_to(height: int) -> tuple[Slope, ...]:
     return tuple(out)
 
 
-_DIST_TO_INFINITY: dict[tuple[int, int], int] = {}
+def _frame(a: Slope, b: Slope) -> tuple[int, int, int, int]:
+    """(x, y, p, q) such that [[x, y], [-a.q, a.p]] sends a to 1/0, b to p/q.
 
-
-def _parents(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The two neighbours of p/q with denominator < q (q >= 2).
-
-    In the planar Farey tessellation the edge between them separates p/q
-    from 1/0, so every path from p/q to 1/0 passes through one of them.
+    The matrix has determinant one, its inverse is [[a.p, -y], [a.q, x]],
+    and q >= 0.  A unimodular image of a reduced pair is reduced, so p/q
+    needs no gcd.
     """
-    s1 = pow(p, -1, q)
-    r1 = (p * s1 - 1) // q
-    s2 = q - s1
-    r2 = (p * s2 + 1) // q
-    return (r1, s1), (r2, s2)
-
-
-def _dist_to_infinity(p: int, q: int) -> int:
-    if q == 0:
-        return 0
-    if q == 1:
-        return 1
-    memo = _DIST_TO_INFINITY
-    stack = [(p, q)]
-    while stack:
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
-            continue
-        deps = _parents(*key)
-        missing = [d for d in deps if d[1] >= 2 and d not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        best = min(1 if d[1] == 1 else memo[d] for d in deps)
-        memo[key] = 1 + best
-        stack.pop()
-    return memo[(p, q)]
+    _, x, y = _extgcd(a.p, a.q)
+    p, q = x * b.p + y * b.q, a.p * b.q - a.q * b.p
+    return (x, y, p, q) if q >= 0 else (x, y, -p, -q)
 
 
 def distance(a: Slope, b: Slope) -> int:
     """Exact distance between a and b in the infinite Farey graph.
 
-    b is moved to 1/0 by a determinant-one change of coordinates, after
-    which the distance to 1/0 is computed by the parent recursion above.
+    b is moved to 1/0 by a determinant-one change of coordinates, and a to
+    p/q = [a0; a1, ..., an].  The hyperbolic segment from 1/0 to p/q
+    crosses one fan of Farey triangles per partial quotient: fan k pivots
+    on the convergent p_{k-1}/q_{k-1} and its a_k + 1 spokes run from
+    p_{k-2}/q_{k-2} to p_k/q_k.  Every path to p_k passes through one of
+    the fan's two ends, so the distances D_k from 1/0 to the convergents
+    obey D_-1 = 0, D_0 = 1 (a0 is an integer) and
+    D_k = min(D_{k-1} + 1, D_{k-2} + a_k).  The cost is O(log q) steps of
+    Euclid's algorithm, with no state kept between calls.
     """
     if a == b:
         return 0
-    r, s = b.p, b.q
-    _, x, y = _extgcd(r, s)
-    # M = [[x, y], [-s, r]] has det = x*r + y*s = 1 and sends b to 1/0.
-    p2 = x * a.p + y * a.q
-    q2 = -s * a.p + r * a.q
-    if q2 < 0:
-        p2, q2 = -p2, -q2
-    if q2 == 0:
-        raise AssertionError("distinct slopes mapped to the same vertex")
-    g = gcd(abs(p2), q2)
-    return _dist_to_infinity(p2 // g, q2 // g)
+    _, _, p, q = _frame(b, a)
+    before, d = 0, 1
+    p, q = q, p % q
+    while q:
+        ak = p // q
+        # min(d + 1, before + ak), without the builtin call on this hot path
+        before, d = d, (before + ak if before + ak <= d else d + 1)
+        p, q = q, p - ak * q
+    return d
 
 
 def apply_unimodular(m: tuple[int, int, int, int], a: Slope) -> Slope:
@@ -267,10 +247,3 @@ def slopes_in_interval(lo: Fraction, hi: Fraction, height: int) -> list[Slope]:
         if not s.is_infinity and lo <= Fraction(s.p, s.q) <= hi
     ]
     return sorted(out, key=Slope.sort_key)
-
-
-def iter_pairs(slopes: Iterable[Slope]) -> Iterator[tuple[Slope, Slope]]:
-    items = list(slopes)
-    for i, a in enumerate(items):
-        for b in items[i + 1 :]:
-            yield a, b

@@ -77,6 +77,24 @@ class TestFareyCommands:
         assert code == 1
         assert "height" in err
 
+    def test_distance_large_slope(self, capsys):
+        code, report, _ = run_json(
+            capsys, ["farey", "distance", "1/1000000000", "1/0"]
+        )
+        assert code == 0
+        assert report["distance"] == 2
+
+    def test_geodesics_large_partial_quotients(self, capsys):
+        # [3; 10^6, 10^6 + 1]: convergents 3/1 and 3000001/1000000.
+        n, k = 10**6, 10**6 + 1
+        x = Slope(3 * (n * k + 1) + k, n * k + 1)
+        code, report, _ = run_json(capsys, ["farey", "geodesics", str(x), "1/0"])
+        assert code == 0
+        assert report["length"] == 3
+        assert report["height_bound"] == x.height
+        assert report["truncated"] is False
+        assert report["paths"] == [[str(x), "3000001/1000000", "3/1", "1/0"]]
+
     def test_ball_dot(self, capsys):
         code, out, _ = run(
             capsys, ["farey", "ball", "0/1", "--radius", "1", "--format", "dot"]
@@ -106,6 +124,28 @@ class TestFareyCommands:
         code, _, err = run(capsys, ["farey", "check-subgraph", str(path)])
         assert code == 1
         assert "outside the host ball" in err
+
+    def test_graph_height_over_budget_is_rejected(self, capsys, tmp_path):
+        fixture = triangle_fixture(tmp_path)
+        for argv in (
+            ["farey", "ball", "0/1", "--height", "316"],
+            ["farey", "ball", "1/1000000000"],
+            ["farey", "check-subgraph", fixture, "--height", "1000000"],
+            ["farey", "check-subgraph", fixture, "--height", "0"],
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == 1, argv
+            assert out == ""
+            assert "--height" in err
+
+    def test_check_subgraph_center_above_height(self, capsys, tmp_path):
+        fixture = triangle_fixture(tmp_path)
+        code, _, err = run(
+            capsys,
+            ["farey", "check-subgraph", fixture, "--center", "1/20", "--height", "12"],
+        )
+        assert code == 1
+        assert "cover the center" in err
 
     def test_check_subgraph_missing_file(self, capsys, tmp_path):
         code, _, err = run(

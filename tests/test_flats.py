@@ -243,6 +243,17 @@ class TestWeights:
         assert metric.weighted_distance((sl("1/0"), sl("0/1")), base) == 1
         assert metric.weighted_distance((sl("0/1"), sl("1/0")), base) == 2
 
+    def test_rank_mismatch_rejected(self):
+        metric = wp_rescale(
+            (PieceKind.ONE_HOLED_TORUS, PieceKind.FOUR_HOLED_SPHERE)
+        )
+        u = (sl("1/0"), sl("0/1"), sl("1/0"))
+        v = (sl("0/1"), sl("0/1"), sl("0/1"))
+        with pytest.raises(ValueError):
+            metric.weighted_distance(u, v)
+        with pytest.raises(ValueError):
+            metric.weighted_distance(u[:2], v)
+
 
 class TestDot:
     def test_rank_one_grid(self):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fareyflats.geodesics import (
     FareyGraph,
@@ -9,6 +11,7 @@ from fareyflats.geodesics import (
     build_ball,
     check_subgraph,
     geodesics,
+    get_graph,
     is_convex,
     is_totally_geodesic,
 )
@@ -73,8 +76,8 @@ class TestGeodesicEnumeration:
         assert d["truncated"] is False
 
     def test_geodesics_respect_endpoint_heights(self):
-        # Observed invariant backing the truncation flag: no geodesic
-        # vertex exceeds the height of the endpoints (exhaustive, h <= 5).
+        # No geodesic vertex exceeds the height of the endpoints, so the
+        # truncation flag never fires (exhaustive, h <= 5).
         verts = slopes_up_to(5)
         for i, a in enumerate(verts):
             for b in verts[i + 1 :]:
@@ -83,6 +86,56 @@ class TestGeodesicEnumeration:
                 cap = max(a.height, b.height)
                 for path in g.paths:
                     assert all(v.height <= cap for v in path)
+
+
+def truncated_geodesics(a, b, height):
+    """Every shortest a-b path inside the height truncation, sorted.
+
+    Breadth-first levels from a in the truncated graph, then a walk back
+    from b through strictly decreasing levels.  It shares nothing with the
+    ladder, which makes it the ladder's oracle.
+    """
+    graph = get_graph(height)
+    level = graph.bfs(a)
+    paths = []
+    stack = [(b, (b,))]
+    while stack:
+        v, tail = stack.pop()
+        if v == a:
+            paths.append(tail[::-1])
+            continue
+        for j in graph.adj[graph.index[v]]:
+            w = graph.vertices[j]
+            if level.get(w) == level[v] - 1:
+                stack.append((w, tail + (w,)))
+    key = lambda path: tuple(s.sort_key() for s in path)
+    return level[b], tuple(sorted(paths, key=key))
+
+
+def assert_ladder_matches_truncation(a, b, oracle_height):
+    g = geodesics(a, b, 1)
+    assert (g.length, g.paths) == truncated_geodesics(a, b, oracle_height)
+    assert g.length == distance(a, b)
+    assert not g.truncated
+    cap = max(a.height, b.height)
+    assert g.height_bound == cap
+    assert all(v.height <= cap for path in g.paths for v in path)
+
+
+class TestLadderAgainstTruncation:
+    def test_exhaustive_height_six(self):
+        verts = slopes_up_to(6)
+        for a in verts:
+            for b in verts:
+                assert_ladder_matches_truncation(a, b, 12)
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from(slopes_up_to(10)),
+        st.sampled_from(slopes_up_to(10)),
+    )
+    def test_sampled_height_ten(self, a, b):
+        assert_ladder_matches_truncation(a, b, 20)
 
 
 class TestBall:

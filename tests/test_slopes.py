@@ -1,5 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fareyflats import slopes
+from fareyflats.geodesics import bfs_distance
 from fareyflats.slopes import (
     INFINITY,
     Slope,
@@ -180,3 +184,49 @@ def test_slopes_in_interval():
     assert INFINITY not in got
     assert Slope(-1, 1) in got and Slope(1, 1) in got
     assert Slope(2, 3) in got and Slope(2, 1) not in got
+
+
+def slope_strategy(bound: int):
+    pairs = st.tuples(st.integers(-bound, bound), st.integers(0, bound))
+    return pairs.filter(lambda t: t != (0, 0)).map(lambda t: Slope(*t))
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of [[k, 1], [1, 0]] (determinant -1), which generate GL2(Z)."""
+    m0, m1, m2, m3 = 1, 0, 0, 1
+    for k in draw(st.lists(st.integers(-(10**6), 10**6), max_size=6)):
+        m0, m1, m2, m3 = m0 * k + m1, m0, m2 * k + m3, m2
+    return (m0, m1, m2, m3)
+
+
+BIG = slope_strategy(10**12)
+
+
+class TestDistanceProperties:
+    @given(BIG, BIG, unimodular_matrices())
+    def test_invariant_under_unimodular_maps(self, a, b, m):
+        assert distance(apply_unimodular(m, a), apply_unimodular(m, b)) == distance(a, b)
+
+    @given(BIG, BIG)
+    def test_symmetric(self, a, b):
+        assert distance(a, b) == distance(b, a)
+
+    @given(BIG, BIG, BIG)
+    def test_triangle_inequality(self, a, b, c):
+        assert distance(a, c) <= distance(a, b) + distance(b, c)
+
+    @settings(deadline=None)
+    @given(slope_strategy(12), slope_strategy(12))
+    def test_matches_bfs_oracle(self, a, b):
+        assert distance(a, b) == bfs_distance(a, b, 24)
+
+    def test_no_module_memo(self):
+        distance(Slope(1, 10**6), INFINITY)
+        assert not hasattr(slopes, "_DIST_TO_INFINITY")
+
+    def test_long_partial_quotients(self):
+        # [0; n] is two steps from 1/0 and [0; n, k] three, for n, k >= 2.
+        n = 10**9
+        assert distance(Slope(1, n), INFINITY) == 2
+        assert distance(Slope(n + 1, n * n + n + 1), INFINITY) == 3
