@@ -21,7 +21,6 @@ from fareyflats.orbifold import (
 from fareyflats.pieces import (
     associated_seam,
     is_special_couple,
-    project,
     projection_identity_report,
 )
 from fareyflats.slopes import Slope, det, slopes_up_to
@@ -63,7 +62,7 @@ def main() -> None:
     print(f"   the twin seam {twin} misses both "
           f"({intersection_number(twin, s)} and "
           f"{intersection_number(twin, beta)} crossings)")
-    print(f"   and projects straight back to the curve: {project(twin)}")
+    print(f"   and projects straight back to the curve: {twin.slope}")
     w = wave(s, over=s.endpoints[0])
     print(f"   a wave doubling {s} still crosses the curve "
           f"{intersection_number(w, beta)} times")

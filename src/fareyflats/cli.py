@@ -94,6 +94,13 @@ def _slope(text: str) -> Slope:
         raise CliError(f"bad slope {text!r}: {exc}") from None
 
 
+def _at_least(flag: str, value: int, low: int) -> int:
+    """The value of a numeric flag, once it is known to be at least low."""
+    if value < low:
+        raise CliError(f"{flag} {value} is out of range: it must be >= {low}")
+    return value
+
+
 def _load_json(path: str) -> dict:
     try:
         return json.loads(Path(path).read_text())
@@ -173,30 +180,26 @@ def _cmd_lemmas_lk(args) -> Result:
     return Result(report, passed=report["pass"])
 
 
-def _cmd_lemmas_prs(args) -> Result:
-    if args.samples is None:
-        report = sweeps.disjoint_projection_sweep(
-            4 if args.height is None else args.height
-        )
-    else:
-        report = sweeps.disjoint_projection_suite(
-            samples=args.samples,
-            seed=args.seed,
-            height=8 if args.height is None else args.height,
-        )
-    return Result(report, passed=report["pass"])
-
-
 def _suite_command(driver, default_height):
     def run(args) -> Result:
+        height = default_height if args.height is None else args.height
         report = driver(
-            samples=args.samples,
+            samples=_at_least("--samples", args.samples, 0),
             seed=args.seed,
-            height=default_height if args.height is None else args.height,
+            height=_at_least("--height", height, 1),
         )
         return Result(report, passed=report["pass"])
 
     return run
+
+
+def _cmd_lemmas_prs(args) -> Result:
+    if args.samples is not None:
+        return _suite_command(sweeps.disjoint_projection_suite, 8)(args)
+    report = sweeps.disjoint_projection_sweep(
+        4 if args.height is None else args.height
+    )
+    return Result(report, passed=report["pass"])
 
 
 _cmd_lemmas_prt = _suite_command(sweeps.torus_move_suite, 5)
@@ -244,11 +247,13 @@ def _cmd_scenario_orthogonality(args) -> Result:
             ),
         ),
     )
+    count = _at_least("--count", args.count, 0)
+    height = _at_least("--height", args.height, 1)
     passes = 0
     failures = []
-    for k in range(args.count):
+    for k in range(count):
         system = systems[k % len(systems)]
-        v0, v1 = random_orthogonal_pair(system, rng, height=args.height)
+        v0, v1 = random_orthogonal_pair(system, rng, height=height)
         if orthogonality_check(v0, v1):
             passes += 1
         elif len(failures) < 5:

@@ -409,36 +409,7 @@ def subproduct_total_geodesy(
 
 
 # ---------------------------------------------------------------------------
-# weighted export and DOT
-
-
-@dataclass(frozen=True)
-class WeightedMetric:
-    """Per-factor edge weights for length exports; checks stay unweighted."""
-
-    weights: tuple[int, ...]
-
-    def weighted_distance(
-        self, u: Sequence[Coordinate], v: Sequence[Coordinate]
-    ) -> int:
-        if not (len(u) == len(v) == len(self.weights)):
-            raise ValueError("rank mismatch")
-        total = 0
-        for w, a, b in zip(self.weights, u, v):
-            if a is None or b is None:
-                continue
-            total += w * distance(a, b)
-        return total
-
-
-def wp_rescale(piece_kinds: Sequence[PieceKind]) -> WeightedMetric:
-    """Edge weight 1 on torus factors, 2 on four-holed-sphere factors."""
-    return WeightedMetric(
-        weights=tuple(
-            1 if kind is PieceKind.ONE_HOLED_TORUS else 2
-            for kind in piece_kinds
-        )
-    )
+# DOT export
 
 
 def flat_to_dot(embedding: LatticeEmbedding, window: int) -> str:

@@ -1,5 +1,11 @@
 """Truncated Farey graphs, balls, geodesic enumeration, and subgraph checks.
 
+Every search here is one breadth-first search, :func:`_bfs_levels`, over a
+neighbour table ``adj[v]`` (the int-indexed :attr:`FareyGraph.adj`, a
+ladder, or the table :func:`_adjacency` builds from the edges of a ball or
+a subgraph), and :func:`_walk_back` turns its levels into every shortest
+path to a target, sorted.
+
 The closed form :func:`fareyflats.slopes.distance` is the ground truth for
 lengths; :func:`bfs_distance` exists as an independent oracle computed from
 nothing but the adjacency relation inside a height truncation, so the two
@@ -23,6 +29,54 @@ from typing import Iterable
 from .slopes import Slope, _frame, neighbors, slopes_up_to
 
 
+def _bfs_levels(adj, source, radius: int | None = None) -> dict:
+    """Breadth-first levels from source over the neighbour table adj[v].
+
+    Vertices at level radius are reached but not expanded.
+    """
+    level = {source: 0}
+    frontier = deque([source])
+    while frontier:
+        v = frontier.popleft()
+        d = level[v]
+        if radius is not None and d >= radius:
+            continue
+        for w in adj[v]:
+            if w not in level:
+                level[w] = d + 1
+                frontier.append(w)
+    return level
+
+
+def _walk_back(
+    adj, level: dict, a: Slope, b: Slope
+) -> tuple[tuple[Slope, ...], ...]:
+    """Every shortest a-b path, sorted, given the BFS levels from a."""
+    if b not in level:
+        return ()
+    paths = []
+    stack = [(b, (b,))]
+    while stack:
+        v, tail = stack.pop()
+        if v == a:
+            paths.append(tuple(reversed(tail)))
+            continue
+        for w in adj[v]:
+            if level.get(w) == level[v] - 1:
+                stack.append((w, tail + (w,)))
+    return tuple(sorted(paths, key=lambda p: tuple(s.sort_key() for s in p)))
+
+
+def _adjacency(vertices, edges) -> dict[Slope, list[Slope]]:
+    """The neighbour table of an edge set on the given vertices."""
+    table: dict[Slope, list[Slope]] = {v: [] for v in vertices}
+    for edge in edges:
+        u, w = tuple(edge)
+        table[u].append(w)
+        table[w].append(u)
+    return table
+
+
 class FareyGraph:
     """The induced graph on all slopes of height <= height_bound."""
 
@@ -42,18 +96,8 @@ class FareyGraph:
         """Distances from source within the truncation (optionally capped)."""
         if source not in self.index:
             raise ValueError(f"{source} exceeds height bound {self.height_bound}")
-        dist = {self.index[source]: 0}
-        frontier = deque([self.index[source]])
-        while frontier:
-            i = frontier.popleft()
-            d = dist[i]
-            if radius is not None and d >= radius:
-                continue
-            for j in self.adj[i]:
-                if j not in dist:
-                    dist[j] = d + 1
-                    frontier.append(j)
-        return {self.vertices[i]: d for i, d in dist.items()}
+        level = _bfs_levels(self.adj, self.index[source], radius)
+        return {self.vertices[i]: d for i, d in level.items()}
 
 
 @lru_cache(maxsize=8)
@@ -70,20 +114,7 @@ def bfs_distance(a: Slope, b: Slope, height_bound: int) -> int | None:
     graph = get_graph(height_bound)
     if a not in graph or b not in graph:
         raise ValueError("both endpoints must respect the height bound")
-    if a == b:
-        return 0
-    src, dst = graph.index[a], graph.index[b]
-    dist = {src: 0}
-    frontier = deque([src])
-    while frontier:
-        i = frontier.popleft()
-        for j in graph.adj[i]:
-            if j not in dist:
-                dist[j] = dist[i] + 1
-                if j == dst:
-                    return dist[j]
-                frontier.append(j)
-    return None
+    return _bfs_levels(graph.adj, graph.index[a]).get(graph.index[b])
 
 
 @dataclass(frozen=True)
@@ -156,13 +187,14 @@ def _ladder(a: Slope, b: Slope) -> dict[Slope, set[Slope]]:
 
 def geodesics(a: Slope, b: Slope, height_bound: int) -> GeodesicSet:
     """Every geodesic from a to b, found by breadth-first search in the ladder."""
-    length, paths = _shortest_paths(_ladder(a, b), a, b)
+    adj = _ladder(a, b)
+    level = _bfs_levels(adj, a)
     return GeodesicSet(
         a=a,
         b=b,
-        length=length,
+        length=level[b],
         height_bound=max(height_bound, a.height, b.height),
-        paths=paths,
+        paths=_walk_back(adj, level, a, b),
         truncated=False,
     )
 
@@ -177,28 +209,6 @@ class FareyBall:
     vertices: tuple[Slope, ...]
     edges: frozenset[frozenset[Slope]]
     dist_from_center: dict = field(hash=False, compare=False, default_factory=dict)
-
-    def adjacency(self) -> dict[Slope, tuple[Slope, ...]]:
-        table: dict[Slope, list[Slope]] = {v: [] for v in self.vertices}
-        for edge in self.edges:
-            u, w = tuple(edge)
-            table[u].append(w)
-            table[w].append(u)
-        return {
-            v: tuple(sorted(ws, key=Slope.sort_key)) for v, ws in table.items()
-        }
-
-    def bfs_within(self, source: Slope) -> dict[Slope, int]:
-        adj = self.adjacency()
-        dist = {source: 0}
-        frontier = deque([source])
-        while frontier:
-            v = frontier.popleft()
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    frontier.append(w)
-        return dist
 
     def to_json_dict(self) -> dict:
         return {
@@ -290,50 +300,6 @@ class Subgraph:
             ),
         }
 
-    def bfs_within(self, source: Slope) -> dict[Slope, int]:
-        adj: dict[Slope, list[Slope]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            u, w = tuple(e)
-            adj[u].append(w)
-            adj[w].append(u)
-        dist = {source: 0}
-        frontier = deque([source])
-        while frontier:
-            v = frontier.popleft()
-            for w in sorted(adj[v], key=Slope.sort_key):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    frontier.append(w)
-        return dist
-
-
-def _shortest_paths(adj: dict[Slope, Iterable[Slope]], a: Slope, b: Slope):
-    """(length, paths): all shortest a-b paths in the graph adj, sorted."""
-    level = {a: 0}
-    frontier = deque([a])
-    while frontier:
-        v = frontier.popleft()
-        for w in adj[v]:
-            if w not in level:
-                level[w] = level[v] + 1
-                frontier.append(w)
-    if b not in level:
-        return None, ()
-    length = level[b]
-    paths = []
-    stack = [(b, (b,))]
-    while stack:
-        v, tail = stack.pop()
-        if v == a:
-            paths.append(tuple(reversed(tail)))
-            continue
-        for w in adj[v]:
-            if level.get(w) == level[v] - 1:
-                stack.append((w, tail + (w,)))
-    return length, tuple(
-        sorted(paths, key=lambda p: tuple(s.sort_key() for s in p))
-    )
-
 
 def is_totally_geodesic(
     sub: Subgraph, ball: FareyBall
@@ -345,17 +311,16 @@ def is_totally_geodesic(
     """
     if not sub.vertices <= set(ball.vertices):
         raise ValueError("subgraph must live inside the ball")
-    adj = ball.adjacency()
+    adj = _adjacency(ball.vertices, ball.edges)
     vs = sorted(sub.vertices, key=Slope.sort_key)
     for i, x in enumerate(vs):
+        level = _bfs_levels(adj, x)
         for y in vs[i + 1 :]:
-            _, paths = _shortest_paths(adj, x, y)
-            for path in paths:
-                inside = all(v in sub.vertices for v in path) and all(
-                    frozenset((path[k], path[k + 1])) in sub.edges
-                    for k in range(len(path) - 1)
-                )
-                if not inside:
+            for path in _walk_back(adj, level, x, y):
+                # Subgraph edges join subgraph vertices, so the edges decide.
+                if not all(
+                    frozenset(step) in sub.edges for step in zip(path, path[1:])
+                ):
                     return False, path
     return True, None
 
@@ -369,13 +334,13 @@ def is_convex(
     """
     if not sub.vertices <= set(ball.vertices):
         raise ValueError("subgraph must live inside the ball")
+    inner_adj = _adjacency(sub.vertices, sub.edges)
+    outer_adj = _adjacency(ball.vertices, ball.edges)
     vs = sorted(sub.vertices, key=Slope.sort_key)
-    for x in vs:
-        inner = sub.bfs_within(x)
-        outer = ball.bfs_within(x)
-        for y in vs:
-            if x.sort_key() >= y.sort_key():
-                continue
+    for i, x in enumerate(vs):
+        inner = _bfs_levels(inner_adj, x)
+        outer = _bfs_levels(outer_adj, x)
+        for y in vs[i + 1 :]:
             if inner.get(y) != outer.get(y):
                 return False, (x, y)
     return True, None

@@ -14,6 +14,10 @@ Objects carried by a piece:
 * Wave(seam, over): the arc obtained by doubling a seam around one of its
   two cone points; both of its ends sit at the other cone point.
 
+The seeded samplers of these objects (``random_slope``, ``random_seam``
+and the rest) sit next to their constructors and are the only ones in the
+package.
+
 Every object gets a concrete realization with exact rational coordinates,
 chosen deterministically from the object's index in a configuration so
 that distinct objects are disjoint away from shared cone points.  Two
@@ -28,13 +32,14 @@ anywhere in this module.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from .slopes import Slope, _extgcd
+from .slopes import Slope, _extgcd, slopes_up_to
 
 Point = tuple[Fraction, Fraction]
 
@@ -216,6 +221,59 @@ def wave(seam_obj: PieceObject, over: str) -> PieceObject:
         endpoints=(end,),
         over=over,
     )
+
+
+# ---------------------------------------------------------------------------
+# seeded samplers
+#
+# Every suite and fixture generator draws its objects here, so each seed
+# gives one sequence of draws.  Seams, waves and the mixed samplers live
+# on the four-holed sphere.
+
+
+def random_slope(rng: random.Random, height: int) -> Slope:
+    """A uniform slope of height at most height."""
+    pool = slopes_up_to(height)
+    return pool[rng.randrange(len(pool))]
+
+
+def random_torus_arc(rng: random.Random, height: int) -> PieceObject:
+    return torus_arc(random_slope(rng, height))
+
+
+def random_seam(
+    rng: random.Random, height: int, slope: Slope | None = None
+) -> PieceObject:
+    """A seam on one of the two corner pairs of slope (drawn when None)."""
+    u = random_slope(rng, height) if slope is None else slope
+    return seam(PieceKind.FOUR_HOLED_SPHERE, u, seam_pairs(u)[rng.randrange(2)])
+
+
+def random_wave(
+    rng: random.Random, height: int, seam_obj: PieceObject | None = None
+) -> PieceObject:
+    """A wave doubling seam_obj (drawn when None) around one of its ends."""
+    s = random_seam(rng, height) if seam_obj is None else seam_obj
+    return wave(s, s.endpoints[rng.randrange(2)])
+
+
+def random_arcish(
+    rng: random.Random, height: int, slope: Slope | None = None
+) -> PieceObject:
+    """A curve, seam or wave, a third each; the kind is drawn first."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        u = random_slope(rng, height) if slope is None else slope
+        return curve(PieceKind.FOUR_HOLED_SPHERE, u)
+    s = random_seam(rng, height, slope)
+    return s if kind == 1 else random_wave(rng, height, s)
+
+
+def random_sphere_arc(rng: random.Random, height: int) -> PieceObject:
+    """A seam or a wave, half each; the coin is tossed first."""
+    if rng.random() < 0.5:
+        return random_seam(rng, height)
+    return random_wave(rng, height)
 
 
 # ---------------------------------------------------------------------------
@@ -772,26 +830,42 @@ class Configuration:
 # endpoint linking of torus arcs
 
 
-def _angle_cmp(u: tuple[int, int], v: tuple[int, int]) -> int:
-    def half(w):
-        return 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
+def _angle_cmp_from(base: Point):
+    """Strict ccw order starting just after the direction base."""
 
-    hu, hv = half(u), half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    c = u[0] * v[1] - u[1] * v[0]
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
+    def dot(a: Point, b: Point) -> Fraction:
+        return a[0] * b[0] + a[1] * b[1]
+
+    def half(v: Point) -> int:
+        c = _cross(base, v)
+        if c > 0:
+            return 0
+        if c < 0:
+            return 1
+        if dot(base, v) < 0:
+            return 0  # exactly opposite: angle pi, end of first half
+        raise AssertionError("ray coincides with the reference ray")
+
+    def cmp(a: Point, b: Point) -> int:
+        ha, hb = half(a), half(b)
+        if ha != hb:
+            return -1 if ha < hb else 1
+        c = _cross(a, b)
+        if c > 0:
+            return -1
+        if c < 0:
+            return 1
+        raise AssertionError("two rays share a direction; realization bug")
+
+    return cmp
 
 
 def endpoint_linking(a: PieceObject, b: PieceObject) -> bool:
     """Whether two torus arcs' end directions alternate around the mark.
 
-    Each arc leaves the marked point in directions +-(q, p); the four rays
-    are sorted by exact angle and the ownership pattern must read ABAB.
+    Each arc leaves the marked point in directions +-(q, p); read
+    counter-clockwise from a's first ray, the other three rays must belong
+    to b, a, b.
     """
     for obj in (a, b):
         if (
@@ -801,11 +875,9 @@ def endpoint_linking(a: PieceObject, b: PieceObject) -> bool:
             raise ValueError("endpoint linking is about torus arcs")
     if a.slope == b.slope:
         raise ValueError("arcs must have distinct slopes")
-    rays = []
-    for owner, obj in (("a", a), ("b", b)):
-        d = (obj.slope.q, obj.slope.p)
-        rays.append((d, owner))
-        rays.append(((-d[0], -d[1]), owner))
-    rays.sort(key=cmp_to_key(lambda x, y: _angle_cmp(x[0], y[0])))
-    owners = [o for _, o in rays]
-    return owners[0] != owners[1] and owners[0] == owners[2] and owners[1] == owners[3]
+    d_a = (a.slope.q, a.slope.p)
+    d_b = (b.slope.q, b.slope.p)
+    rays = [((-d_a[0], -d_a[1]), "a"), (d_b, "b"), ((-d_b[0], -d_b[1]), "b")]
+    cmp = _angle_cmp_from(d_a)
+    rays.sort(key=cmp_to_key(lambda x, y: cmp(x[0], y[0])))
+    return [o for _, o in rays] == ["b", "a", "b"]

@@ -3,8 +3,11 @@
 Every essential object on a piece determines a vertex of the piece's
 curve graph: a contained curve is its own slope, a seam or torus arc
 projects to its slope, and a wave projects to the slope of the seam it
-doubles.  The checks in this module recompute both sides of each identity
-with the crossing oracle; nothing is taken from a formula.
+doubles: the projection is the object's ``slope``.  Both pieces' curve
+graphs are the Farey graph on slopes, so projections are compared with
+:func:`fareyflats.slopes.distance`.  The checks in this module recompute
+both sides of each identity with the crossing oracle; nothing is taken
+from a formula.
 """
 
 from __future__ import annotations
@@ -21,12 +24,7 @@ from .orbifold import (
     seam,
     seam_pairs,
 )
-from .slopes import Slope, distance
-
-
-def project(obj: PieceObject) -> Slope:
-    """The slope a single object contributes to the piece's curve graph."""
-    return obj.slope
+from .slopes import Slope
 
 
 def project_trace(objects) -> frozenset[Slope]:
@@ -36,7 +34,7 @@ def project_trace(objects) -> frozenset[Slope]:
         kinds = {o.piece for o in objs}
         if len(kinds) != 1:
             raise ValueError("trace objects must share a piece")
-    return frozenset(project(o) for o in objs)
+    return frozenset(o.slope for o in objs)
 
 
 def common_boundaries(a: PieceObject, b: PieceObject) -> int:
@@ -120,15 +118,6 @@ def projection_identity_report(s: PieceObject, t: PieceObject) -> dict:
     }
 
 
-def projection_distance(u: Slope, v: Slope) -> int:
-    """Distance between two projections in the piece's curve graph.
-
-    Both pieces' curve graphs are the Farey graph on slopes, so this is
-    plain Farey distance.
-    """
-    return distance(u, v)
-
-
 @dataclass(frozen=True)
 class PieceFareyView:
     """Adjacency in a piece's curve graph, defined by crossing numbers.
@@ -159,8 +148,6 @@ __all__ = [
     "associated_seam",
     "common_boundaries",
     "is_special_couple",
-    "project",
     "project_trace",
-    "projection_distance",
     "projection_identity_report",
 ]

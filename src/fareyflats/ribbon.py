@@ -44,6 +44,7 @@ from .orbifold import (
     partner_label,
     seam,
     wave,
+    _angle_cmp_from,
     _apply,
     _next_prime_above,
     _pt_add,
@@ -131,39 +132,6 @@ def _object_ends(obj: PieceObject, seg: SegmentRep) -> list[_End]:
         _End(-1, 0, labels[0], seg.a, seg.a, d),
         _End(-1, 1, labels[1], seg.b, seg.b, _pt_neg(d)),
     ]
-
-
-def _angle_cmp_from(base: Point):
-    """Strict ccw order starting just after the direction base."""
-
-    def cross(a: Point, b: Point) -> Fraction:
-        return a[0] * b[1] - a[1] * b[0]
-
-    def dot(a: Point, b: Point) -> Fraction:
-        return a[0] * b[0] + a[1] * b[1]
-
-    def half(v: Point) -> int:
-        c = cross(base, v)
-        if c > 0:
-            return 0
-        if c < 0:
-            return 1
-        if dot(base, v) < 0:
-            return 0  # exactly opposite: angle pi, end of first half
-        raise AssertionError("ray coincides with the reference ray")
-
-    def cmp(a: Point, b: Point) -> int:
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        c = cross(a, b)
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        raise AssertionError("two rays share a direction; realization bug")
-
-    return cmp
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,13 @@ from .orbifold import (
     PieceObject,
     curve,
     intersection_number,
+    random_seam,
+    random_slope,
+    random_wave,
     seam,
-    seam_pairs,
     torus_arc,
-    wave,
 )
-from .pieces import is_special_couple, project
+from .pieces import is_special_couple
 from .slopes import Slope, distance, slopes_up_to
 
 
@@ -225,7 +226,7 @@ def project_shadow(v: VertexShadow) -> ProductVertexSet:
         if isinstance(entry, InGraph):
             per_piece.append(frozenset((entry.slope,)))
         elif entry.trace:
-            per_piece.append(frozenset(project(o) for o in entry.trace))
+            per_piece.append(frozenset(o.slope for o in entry.trace))
         else:
             per_piece.append(frozenset((None,)))
     return ProductVertexSet(frozenset(iproduct(*per_piece)))
@@ -544,22 +545,14 @@ def projection_gap_scenario() -> tuple[PathShadow, dict]:
 # seeded fixture generators
 
 
-def _random_slope(rng: random.Random, height: int) -> Slope:
-    pool = slopes_up_to(height)
-    return pool[rng.randrange(len(pool))]
-
-
 def _disjoint_companion(
     rng: random.Random, kind: PieceKind, slope: Slope
 ) -> PieceObject:
     """An arc-like object of the given slope, hence disjoint from the curve."""
     if kind is PieceKind.ONE_HOLED_TORUS:
         return torus_arc(slope)
-    pair = seam_pairs(slope)[rng.randrange(2)]
-    s = seam(kind, slope, pair)
-    if rng.random() < 0.5:
-        return s
-    return wave(s, pair[rng.randrange(2)])
+    s = random_seam(rng, slope.height, slope)
+    return s if rng.random() < 0.5 else random_wave(rng, slope.height, s)
 
 
 def random_orthogonal_pair(
@@ -572,7 +565,7 @@ def random_orthogonal_pair(
     neighbor then projects onto the member exactly.  Some pairs leave all
     pieces untouched (the exchange happened entirely outside them).
     """
-    slopes = [_random_slope(rng, height) for _ in range(system.n)]
+    slopes = [random_slope(rng, height) for _ in range(system.n)]
     v0 = shadow_in_pq(system, slopes)
     hit = [i for i in range(system.n) if rng.random() < 0.6]
     data: list[PieceData] = []
@@ -615,7 +608,7 @@ def random_path_shadow(
     within one step in one coordinate, so the endpoint bound holds by
     construction; the audit re-checks it from the projections alone.
     """
-    slopes = [_random_slope(rng, height) for _ in range(system.n)]
+    slopes = [random_slope(rng, height) for _ in range(system.n)]
     vertices = [shadow_in_pq(system, slopes)]
     moves = []
     crossed: dict[int, tuple[PieceObject, ...]] = {}

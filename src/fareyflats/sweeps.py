@@ -1,16 +1,23 @@
 """Verification drivers: exhaustive sweeps and seeded fixture suites.
 
-Every driver returns a JSON-able report carrying the checked count, a
-pass flag, and the violating fixtures (reconstructible from their string
-forms).  Exhaustive sweeps walk all slopes up to a height bound; a bound
-of zero makes them vacuous but still well-formed.  Seeded suites draw
-reproducible fixtures and never invent expectations: each check recomputes
-both sides from the crossing oracle or the boundary walk.
+Every driver returns its report through :func:`_report`: the driver's
+name, its parameters and counters, a pass flag decided there from the
+violations alone, and the violating fixtures (reconstructible from their
+string forms).  Exhaustive sweeps walk all slopes up to a height bound; a
+bound of zero makes them vacuous but still well-formed.  Seeded suites
+draw reproducible fixtures through the samplers in
+:mod:`fareyflats.orbifold` and never invent expectations: each check
+recomputes both sides from the crossing oracle or the boundary walk.  The
+two move suites differ only in the components they draw and in which
+boundary components may serve as witness; :func:`_move_suite` runs the
+rest.  An object's projection is its slope, and projections are compared
+with the Farey distance.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations, product
 
 from .orbifold import (
     DegenerateRealization,
@@ -20,6 +27,12 @@ from .orbifold import (
     curve,
     endpoint_linking,
     intersection_number,
+    random_arcish,
+    random_seam,
+    random_slope,
+    random_sphere_arc,
+    random_torus_arc,
+    random_wave,
     seam,
     seam_pairs,
     torus_arc,
@@ -29,15 +42,23 @@ from .pieces import (
     associated_seam,
     common_boundaries,
     is_special_couple,
-    project,
-    projection_distance,
     projection_identity_report,
 )
 from .ribbon import neighborhood_boundary
-from .slopes import Slope, det, slopes_up_to
+from .slopes import Slope, det, distance, slopes_up_to
 
 T = PieceKind.ONE_HOLED_TORUS
 S = PieceKind.FOUR_HOLED_SPHERE
+
+
+def _report(driver: str, violations: list, **fields) -> dict:
+    """A driver's report: name, parameters and counters, verdict, violations."""
+    return {
+        "driver": driver,
+        **fields,
+        "pass": not violations,
+        "violations": violations,
+    }
 
 
 def _pool(height: int) -> tuple[Slope, ...]:
@@ -70,36 +91,23 @@ def identity_sweep(height: int) -> dict:
     (torus) the count.  Every endpoint choice at every height up to the
     bound is visited.
     """
-    report = {
-        "driver": "identity_sweep",
-        "height": height,
-        "pass": True,
-        "tallies": {},
-        "violations": [],
-    }
+    tallies: dict[str, dict[str, int]] = {}
+    violations = []
     for piece in (T, S):
         seams = _all_seams(piece, height)
         curves = [curve(piece, u) for u in _pool(height)]
-        ss = 0
-        for i in range(len(seams)):
-            for j in range(i + 1, len(seams)):
-                rep = projection_identity_report(seams[i], seams[j])
-                ss += 1
+        tally = tallies[piece.value] = {}
+        for key, pairs in (
+            ("seam_vs_seam", combinations(seams, 2)),
+            ("seam_vs_curve", product(seams, curves)),
+        ):
+            tally[key] = 0
+            for s_obj, t_obj in pairs:
+                rep = projection_identity_report(s_obj, t_obj)
+                tally[key] += 1
                 if not rep["holds"]:
-                    report["violations"].append(rep)
-        sc = 0
-        for s_obj in seams:
-            for c_obj in curves:
-                rep = projection_identity_report(s_obj, c_obj)
-                sc += 1
-                if not rep["holds"]:
-                    report["violations"].append(rep)
-        report["tallies"][piece.value] = {
-            "seam_vs_seam": ss,
-            "seam_vs_curve": sc,
-        }
-    report["pass"] = not report["violations"]
-    return report
+                    violations.append(rep)
+    return _report("identity_sweep", violations, height=height, tallies=tallies)
 
 
 # ---------------------------------------------------------------------------
@@ -108,36 +116,31 @@ def identity_sweep(height: int) -> dict:
 
 def linking_sweep(height: int) -> dict:
     """Every pair of distinct-slope torus arcs has linked endpoints."""
-    report = {
-        "driver": "linking_sweep",
-        "height": height,
-        "checked": 0,
-        "pass": True,
-        "violations": [],
-    }
-    pool = _pool(height)
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            a, b = torus_arc(pool[i]), torus_arc(pool[j])
-            report["checked"] += 1
-            if not endpoint_linking(a, b):
-                report["violations"].append({"a": str(a), "b": str(b)})
-    report["pass"] = not report["violations"]
-    return report
+    checked = 0
+    violations = []
+    for u, v in combinations(_pool(height), 2):
+        a, b = torus_arc(u), torus_arc(v)
+        checked += 1
+        if not endpoint_linking(a, b):
+            violations.append({"a": str(a), "b": str(b)})
+    return _report("linking_sweep", violations, height=height, checked=checked)
 
 
 # ---------------------------------------------------------------------------
 # disjointness forces projection distance <= 1 (sphere)
 
 
-def _prs_hypotheses(s_obj: PieceObject, b_obj: PieceObject) -> bool:
-    if b_obj == s_obj:
-        return False
-    if intersection_number(s_obj, b_obj) != 0:
-        return False
-    if b_obj.kind is ObjectKind.SEAM:
-        return common_boundaries(s_obj, b_obj) <= 1
-    return True
+def _prs_case(s_obj: PieceObject, b_obj: PieceObject) -> str | None:
+    """How the disjointness lemma treats a seam s and another object b.
+
+    None when b is s or crosses it; "excluded" for a seam sharing both of
+    s's ends (such twins project two steps apart); "checked" otherwise.
+    """
+    if b_obj == s_obj or intersection_number(s_obj, b_obj) != 0:
+        return None
+    if common_boundaries(s_obj, b_obj) > 1:
+        return "excluded"
+    return "checked"
 
 
 def disjoint_projection_sweep(height: int) -> dict:
@@ -146,61 +149,27 @@ def disjoint_projection_sweep(height: int) -> dict:
     Seams with two shared ends are excluded by hypothesis (those twins
     project two steps apart); the count of exclusions is reported.
     """
-    report = {
-        "driver": "disjoint_projection_sweep",
-        "height": height,
-        "checked": 0,
-        "excluded_two_shared_ends": 0,
-        "pass": True,
-        "violations": [],
-    }
     seams = _all_seams(S, height)
-    waves = []
-    for u in _pool(height):
-        for pair in seam_pairs(u):
-            base = seam(S, u, pair)
-            for over in pair:
-                waves.append(wave(base, over))
+    waves = [wave(s_obj, over) for s_obj in seams for over in s_obj.endpoints]
     others = [curve(S, u) for u in _pool(height)] + seams + waves
+    checked = excluded = 0
+    violations = []
     for s_obj in seams:
         for b_obj in others:
-            if (
-                b_obj.kind is ObjectKind.SEAM
-                and b_obj != s_obj
-                and intersection_number(s_obj, b_obj) == 0
-                and common_boundaries(s_obj, b_obj) > 1
-            ):
-                report["excluded_two_shared_ends"] += 1
-                continue
-            if not _prs_hypotheses(s_obj, b_obj):
-                continue
-            report["checked"] += 1
-            if projection_distance(s_obj.slope, b_obj.slope) > 1:
-                report["violations"].append(
-                    {"s": str(s_obj), "b": str(b_obj)}
-                )
-    report["pass"] = not report["violations"]
-    return report
-
-
-def _random_slope(rng: random.Random, height: int) -> Slope:
-    pool = slopes_up_to(height)
-    return pool[rng.randrange(len(pool))]
-
-
-def _random_seam(rng: random.Random, height: int) -> PieceObject:
-    u = _random_slope(rng, height)
-    return seam(S, u, seam_pairs(u)[rng.randrange(2)])
-
-
-def _random_arcish(rng: random.Random, height: int) -> PieceObject:
-    kind = rng.randrange(3)
-    if kind == 0:
-        return curve(S, _random_slope(rng, height))
-    s_obj = _random_seam(rng, height)
-    if kind == 1:
-        return s_obj
-    return wave(s_obj, s_obj.endpoints[rng.randrange(2)])
+            case = _prs_case(s_obj, b_obj)
+            if case == "excluded":
+                excluded += 1
+            elif case == "checked":
+                checked += 1
+                if distance(s_obj.slope, b_obj.slope) > 1:
+                    violations.append({"s": str(s_obj), "b": str(b_obj)})
+    return _report(
+        "disjoint_projection_sweep",
+        violations,
+        height=height,
+        checked=checked,
+        excluded_two_shared_ends=excluded,
+    )
 
 
 def disjoint_projection_suite(
@@ -213,63 +182,37 @@ def disjoint_projection_suite(
     oracle then keeps exactly the pairs satisfying the hypotheses.
     """
     rng = random.Random(seed)
-    report = {
-        "driver": "disjoint_projection_suite",
-        "samples": samples,
-        "seed": seed,
-        "height": height,
-        "checked": 0,
-        "rejected": 0,
-        "pass": True,
-        "violations": [],
-    }
-    while report["checked"] < samples:
-        s_obj = _random_seam(rng, height)
-        b_obj = _random_arcish(rng, height)
+    checked = rejected = 0
+    violations = []
+    while checked < samples:
+        s_obj = random_seam(rng, height)
+        b_obj = random_arcish(rng, height)
         if rng.random() < 0.7:
             # bias: reuse the seam's slope for the companion
-            u = s_obj.slope
-            kind = rng.randrange(3)
-            if kind == 0:
-                b_obj = curve(S, u)
-            else:
-                cand = seam(S, u, seam_pairs(u)[rng.randrange(2)])
-                b_obj = (
-                    cand
-                    if kind == 1
-                    else wave(cand, cand.endpoints[rng.randrange(2)])
-                )
-        if not _prs_hypotheses(s_obj, b_obj):
-            report["rejected"] += 1
+            b_obj = random_arcish(rng, height, s_obj.slope)
+        if _prs_case(s_obj, b_obj) != "checked":
+            rejected += 1
             continue
-        report["checked"] += 1
-        if projection_distance(s_obj.slope, b_obj.slope) > 1:
-            report["violations"].append({"s": str(s_obj), "b": str(b_obj)})
-    report["pass"] = not report["violations"]
-    return report
-
-
-# ---------------------------------------------------------------------------
-# boundary components of move components: torus
-
-
-def _essential(components):
-    return [c for c in components if c.kind != "inessential"]
-
-
-def _bound_holds(component, objects) -> bool:
-    d_slope = component.object.slope
-    return all(
-        projection_distance(d_slope, project(o)) <= 1 for o in objects
+        checked += 1
+        if distance(s_obj.slope, b_obj.slope) > 1:
+            violations.append({"s": str(s_obj), "b": str(b_obj)})
+    return _report(
+        "disjoint_projection_suite",
+        violations,
+        samples=samples,
+        seed=seed,
+        height=height,
+        checked=checked,
+        rejected=rejected,
     )
 
 
-def _component_walk(component_objs):
-    """Boundary of a neighborhood of the component, or None if degenerate."""
-    try:
-        return neighborhood_boundary(component_objs)
-    except DegenerateRealization:
-        return None
+# ---------------------------------------------------------------------------
+# boundary components of move components
+
+
+def _bound_holds(boundary, objects) -> bool:
+    return all(distance(boundary.object.slope, o.slope) <= 1 for o in objects)
 
 
 def _extras_disjoint(rng, gen, component, count: int) -> list[PieceObject]:
@@ -292,14 +235,72 @@ def _extras_disjoint(rng, gen, component, count: int) -> list[PieceObject]:
                 continue
             if any(intersection_number(cand, o) for o in accepted):
                 continue
-            if any(
-                projection_distance(project(cand), project(o)) > 1
-                for o in accepted
-            ):
+            if any(distance(cand.slope, o.slope) > 1 for o in accepted):
                 continue
             extras.append(cand)
             break
     return extras
+
+
+def _move_suite(driver, samples, seed, height, draw, bystander, witnesses):
+    """The loop both move suites share.
+
+    ``draw(rng)`` returns a component, or None to resample it.  Up to two
+    bystanders ``bystander(rng, height)`` join it, then the boundary of
+    the component's neighborhood is walked (degenerate walks are skipped
+    and counted).  Among the essential boundary components whose kind is
+    in ``witnesses``, the first projecting within one step of every trace
+    object is tallied by kind; when there is none the fixture is a
+    violation.
+    """
+    rng = random.Random(seed)
+    checked = degenerate = resampled = 0
+    kinds: dict[str, int] = {}
+    violations = []
+    while checked < samples:
+        component = draw(rng)
+        if component is None:
+            resampled += 1
+            continue
+        extras = _extras_disjoint(
+            rng, lambda r: bystander(r, height), component, rng.randrange(3)
+        )
+        try:
+            walked = neighborhood_boundary(component)
+        except DegenerateRealization:
+            degenerate += 1
+            continue
+        essential = [c for c in walked if c.kind != "inessential"]
+        winner = next(
+            (
+                d
+                for d in essential
+                if d.kind in witnesses and _bound_holds(d, component + extras)
+            ),
+            None,
+        )
+        checked += 1
+        if winner is not None:
+            kinds[winner.kind] = kinds.get(winner.kind, 0) + 1
+        else:
+            violations.append(
+                {
+                    "component": [str(o) for o in component],
+                    "extras": [str(o) for o in extras],
+                    "boundary": [f"{c.kind}:{c.object.slope}" for c in essential],
+                }
+            )
+    return _report(
+        driver,
+        violations,
+        samples=samples,
+        seed=seed,
+        height=height,
+        checked=checked,
+        degenerate_skipped=degenerate,
+        resampled=resampled,
+        witness_kinds=kinds,
+    )
 
 
 def torus_move_suite(
@@ -313,73 +314,27 @@ def torus_move_suite(
     boundary component of the component's neighborhood projects within
     one step of every trace object, bystanders included.
     """
-    rng = random.Random(seed)
-    report = {
-        "driver": "torus_move_suite",
-        "samples": samples,
-        "seed": seed,
-        "height": height,
-        "checked": 0,
-        "degenerate_skipped": 0,
-        "resampled": 0,
-        "witness_kinds": {},
-        "pass": True,
-        "violations": [],
-    }
-    pool = slopes_up_to(height)
 
-    def rand_arc(r):
-        return torus_arc(pool[r.randrange(len(pool))])
-
-    while report["checked"] < samples:
+    def draw(rng):
         shape = rng.randrange(3)
         if shape == 0:
-            component = [rand_arc(rng)]
-        elif shape == 1:
-            a = rand_arc(rng)
-            b = rand_arc(rng)
-            if intersection_number(a, b) != 1:
-                report["resampled"] += 1
-                continue
-            component = [a, b]
+            return [random_torus_arc(rng, height)]
+        if shape == 1:
+            first = random_torus_arc(rng, height)
         else:
-            c = curve(T, pool[rng.randrange(len(pool))])
-            b = rand_arc(rng)
-            if intersection_number(c, b) != 1:
-                report["resampled"] += 1
-                continue
-            component = [c, b]
-        extras = _extras_disjoint(rng, rand_arc, component, rng.randrange(3))
-        walked = _component_walk(component)
-        if walked is None:
-            report["degenerate_skipped"] += 1
-            continue
-        candidates = _essential(walked)
-        winners = [
-            d for d in candidates if _bound_holds(d, component + extras)
-        ]
-        report["checked"] += 1
-        if winners:
-            kind = winners[0].kind
-            report["witness_kinds"][kind] = (
-                report["witness_kinds"].get(kind, 0) + 1
-            )
-        else:
-            report["violations"].append(
-                {
-                    "component": [str(o) for o in component],
-                    "extras": [str(o) for o in extras],
-                    "boundary": [
-                        f"{c.kind}:{c.object.slope}" for c in candidates
-                    ],
-                }
-            )
-    report["pass"] = not report["violations"]
-    return report
+            first = curve(T, random_slope(rng, height))
+        arc = random_torus_arc(rng, height)
+        return [first, arc] if intersection_number(first, arc) == 1 else None
 
-
-# ---------------------------------------------------------------------------
-# boundary components of move components: sphere
+    return _move_suite(
+        "torus_move_suite",
+        samples,
+        seed,
+        height,
+        draw,
+        random_torus_arc,
+        witnesses=("curve", "seam", "wave"),
+    )
 
 
 def sphere_move_suite(
@@ -397,41 +352,13 @@ def sphere_move_suite(
     hypothesis.  The witness must be an arc (seam or wave), not a closed
     curve.
     """
-    rng = random.Random(seed)
-    report = {
-        "driver": "sphere_move_suite",
-        "samples": samples,
-        "seed": seed,
-        "height": height,
-        "checked": 0,
-        "degenerate_skipped": 0,
-        "resampled": 0,
-        "witness_kinds": {},
-        "pass": True,
-        "violations": [],
-    }
-    pool = slopes_up_to(height)
 
-    def rand_slope(r):
-        return pool[r.randrange(len(pool))]
-
-    def rand_seam(r):
-        u = rand_slope(r)
-        return seam(S, u, seam_pairs(u)[r.randrange(2)])
-
-    def rand_wave(r):
-        s_obj = rand_seam(r)
-        return wave(s_obj, s_obj.endpoints[r.randrange(2)])
-
-    def rand_arcish(r):
-        return rand_seam(r) if r.random() < 0.5 else rand_wave(r)
-
-    while report["checked"] < samples:
+    def draw(rng):
         shape = rng.randrange(4)
         if shape == 0:
-            component = [rand_arcish(rng)]
+            component = [random_sphere_arc(rng, height)]
         elif shape == 1:
-            a, b = rand_arcish(rng), rand_arcish(rng)
+            a, b = random_sphere_arc(rng, height), random_sphere_arc(rng, height)
             crossings = 0 if a == b else intersection_number(a, b)
             # A double crossing inside one component comes from two strands
             # of a move running antiparallel, so it needs a wave; a pair of
@@ -440,69 +367,39 @@ def sphere_move_suite(
             both_seams = (
                 a.kind is ObjectKind.SEAM and b.kind is ObjectKind.SEAM
             )
-            limit = 1 if both_seams else 2
-            if not 1 <= crossings <= limit:
-                report["resampled"] += 1
-                continue
+            if not 1 <= crossings <= (1 if both_seams else 2):
+                return None
             component = [a, b]
         elif shape == 2:
-            c = curve(S, rand_slope(rng))
-            w = rand_wave(rng)
+            c = curve(S, random_slope(rng, height))
+            w = random_wave(rng, height)
             if intersection_number(c, w) != 2:
-                report["resampled"] += 1
-                continue
+                return None
             component = [c, w]
         else:
-            c = curve(S, rand_slope(rng))
-            s1, s2 = rand_seam(rng), rand_seam(rng)
-            if s1 == s2:
-                report["resampled"] += 1
-                continue
+            c = curve(S, random_slope(rng, height))
+            s1, s2 = random_seam(rng, height), random_seam(rng, height)
             if (
-                intersection_number(c, s1) != 1
+                s1 == s2
+                or intersection_number(c, s1) != 1
                 or intersection_number(c, s2) != 1
                 or intersection_number(s1, s2) != 0
             ):
-                report["resampled"] += 1
-                continue
+                return None
             component = [c, s1, s2]
-        if any(
-            is_special_couple(x, y) or is_special_couple(y, x)
-            for x in component
-            for y in component
-        ):
-            report["resampled"] += 1
-            continue
-        extras = _extras_disjoint(
-            rng, rand_arcish, component, rng.randrange(3)
-        )
-        walked = _component_walk(component)
-        if walked is None:
-            report["degenerate_skipped"] += 1
-            continue
-        arcs = [
-            d for d in _essential(walked) if d.kind in ("seam", "wave")
-        ]
-        winners = [d for d in arcs if _bound_holds(d, component + extras)]
-        report["checked"] += 1
-        if winners:
-            kind = winners[0].kind
-            report["witness_kinds"][kind] = (
-                report["witness_kinds"].get(kind, 0) + 1
-            )
-        else:
-            report["violations"].append(
-                {
-                    "component": [str(o) for o in component],
-                    "extras": [str(o) for o in extras],
-                    "boundary": [
-                        f"{c.kind}:{c.object.slope}"
-                        for c in _essential(walked)
-                    ],
-                }
-            )
-    report["pass"] = not report["violations"]
-    return report
+        if any(is_special_couple(x, y) for x in component for y in component):
+            return None
+        return component
+
+    return _move_suite(
+        "sphere_move_suite",
+        samples,
+        seed,
+        height,
+        draw,
+        random_sphere_arc,
+        witnesses=("seam", "wave"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -520,29 +417,21 @@ def couple_trace_suite(
     among the projections of the union s with twin.
     """
     rng = random.Random(seed)
-    report = {
-        "driver": "couple_trace_suite",
-        "samples": samples,
-        "seed": seed,
-        "height": height,
-        "checked": 0,
-        "rejected": 0,
-        "pass": True,
-        "violations": [],
-    }
     pool = slopes_up_to(height)
-    while report["checked"] < samples:
-        u = pool[rng.randrange(len(pool))]
+    checked = rejected = 0
+    violations = []
+    while checked < samples:
+        u = random_slope(rng, height)
         mates = [v for v in pool if abs(det(u, v)) == 2]
         if not mates:
-            report["rejected"] += 1
+            rejected += 1
             continue
         v = mates[rng.randrange(len(mates))]
-        s_obj = seam(S, u, seam_pairs(u)[rng.randrange(2)])
+        s_obj = random_seam(rng, height, u)
         c_obj = curve(S, v)
         if not is_special_couple(s_obj, c_obj):
             # the determinant only steers sampling; the oracle decides
-            report["rejected"] += 1
+            rejected += 1
             continue
         twin = associated_seam(c_obj, s_obj)
         other_pair = next(
@@ -556,11 +445,11 @@ def couple_trace_suite(
             problems.append("twin does not share both ends")
         if intersection_number(other, s_obj) == 0:
             problems.append("twin choice is not unique")
-        if project(twin) != v:
+        if twin.slope != v:
             problems.append("twin does not project to the curve")
-        report["checked"] += 1
+        checked += 1
         if problems:
-            report["violations"].append(
+            violations.append(
                 {
                     "s": str(s_obj),
                     "c": str(c_obj),
@@ -568,5 +457,12 @@ def couple_trace_suite(
                     "problems": problems,
                 }
             )
-    report["pass"] = not report["violations"]
-    return report
+    return _report(
+        "couple_trace_suite",
+        violations,
+        samples=samples,
+        seed=seed,
+        height=height,
+        checked=checked,
+        rejected=rejected,
+    )

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from fareyflats import cli
 from fareyflats.geodesics import Subgraph, build_ball
 from fareyflats.shadows import projection_gap_scenario
@@ -203,6 +205,29 @@ class TestLemmasCommands:
         assert code == 0
         assert report["checked"] == 30
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["lemmas", "prs", "--samples", "5", "--height", "0"], "--height"),
+            (["lemmas", "prt", "--samples", "5", "--height", "0"], "--height"),
+            (["lemmas", "ml", "--samples", "5", "--height", "-3"], "--height"),
+            (["lemmas", "sc", "--height", "0"], "--height"),
+            (["lemmas", "prt", "--samples", "-1"], "--samples"),
+            (["lemmas", "prs", "--samples", "-1"], "--samples"),
+            (["lemmas", "sc", "--samples", "-5"], "--samples"),
+        ],
+    )
+    def test_suite_rejects_out_of_range_input(self, capsys, argv, flag):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert f"{flag} " in err and "out of range" in err
+
+    def test_suite_zero_samples_is_vacuous(self, capsys):
+        code, report, _ = run_json(capsys, ["lemmas", "prt", "--samples", "0"])
+        assert code == 0
+        assert report["checked"] == 0
+
 
 class TestScenarioCommands:
     def test_figure2_reproduces_the_gap(self, capsys):
@@ -220,6 +245,16 @@ class TestScenarioCommands:
         assert code == 0
         assert report["passes"] == 6
         assert report["failures"] == []
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [(["--height", "0"], "--height"), (["--count", "-1"], "--count")],
+    )
+    def test_orthogonality_rejects_out_of_range_input(self, capsys, extra, flag):
+        code, out, err = run(capsys, ["scenario", "orthogonality", *extra])
+        assert code == 1
+        assert out == ""
+        assert f"{flag} " in err and "out of range" in err
 
     def test_audit_flags_the_gap_fixture(self, capsys, tmp_path):
         fixture = gap_fixture(tmp_path)

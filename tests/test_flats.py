@@ -17,7 +17,6 @@ from fareyflats.flats import (
     regenerate_default_lines,
     search_geodesic_line,
     subproduct_total_geodesy,
-    wp_rescale,
 )
 from fareyflats.orbifold import PieceKind
 from fareyflats.slopes import Slope, distance
@@ -226,33 +225,6 @@ class TestSubproduct:
             subproduct_total_geodesy(n=2, k=3, radius=2)
         with pytest.raises(ValueError):
             subproduct_total_geodesy(n=2, k=1, radius=2, subgraph="mystery")
-
-
-class TestWeights:
-    def test_kind_weights(self):
-        metric = wp_rescale(
-            (PieceKind.ONE_HOLED_TORUS, PieceKind.FOUR_HOLED_SPHERE)
-        )
-        assert metric.weights == (1, 2)
-
-    def test_single_edge_lengths(self):
-        metric = wp_rescale(
-            (PieceKind.ONE_HOLED_TORUS, PieceKind.FOUR_HOLED_SPHERE)
-        )
-        base = (sl("0/1"), sl("0/1"))
-        assert metric.weighted_distance((sl("1/0"), sl("0/1")), base) == 1
-        assert metric.weighted_distance((sl("0/1"), sl("1/0")), base) == 2
-
-    def test_rank_mismatch_rejected(self):
-        metric = wp_rescale(
-            (PieceKind.ONE_HOLED_TORUS, PieceKind.FOUR_HOLED_SPHERE)
-        )
-        u = (sl("1/0"), sl("0/1"), sl("1/0"))
-        v = (sl("0/1"), sl("0/1"), sl("0/1"))
-        with pytest.raises(ValueError):
-            metric.weighted_distance(u, v)
-        with pytest.raises(ValueError):
-            metric.weighted_distance(u[:2], v)
 
 
 class TestDot:

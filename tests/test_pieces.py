@@ -17,9 +17,7 @@ from fareyflats.pieces import (
     associated_seam,
     common_boundaries,
     is_special_couple,
-    project,
     project_trace,
-    projection_distance,
     projection_identity_report,
 )
 from fareyflats.slopes import Slope, adjacent, det, distance, slopes_up_to
@@ -30,11 +28,11 @@ S = PieceKind.FOUR_HOLED_SPHERE
 
 class TestProjection:
     def test_each_kind_projects_to_its_slope(self):
-        assert project(curve(S, Slope(2, 1))) == Slope(2, 1)
-        assert project(seam(S, Slope(0, 1))) == Slope(0, 1)
-        assert project(torus_arc(Slope(1, 2))) == Slope(1, 2)
+        assert curve(S, Slope(2, 1)).slope == Slope(2, 1)
+        assert seam(S, Slope(0, 1)).slope == Slope(0, 1)
+        assert torus_arc(Slope(1, 2)).slope == Slope(1, 2)
         w = wave(seam(S, Slope(0, 1)), over="10")
-        assert project(w) == Slope(0, 1)
+        assert w.slope == Slope(0, 1)
 
     def test_trace_dedup(self):
         objs = [seam(S, Slope(0, 1)), wave(seam(S, Slope(0, 1)), over="10")]
@@ -45,8 +43,8 @@ class TestProjection:
             project_trace([torus_arc(Slope(0, 1)), seam(S, Slope(0, 1))])
 
     def test_projection_distance_is_farey(self):
-        assert projection_distance(Slope(0, 1), Slope(1, 0)) == 1
-        assert projection_distance(Slope(-1, 1), Slope(1, 1)) == 2
+        assert distance(Slope(0, 1), Slope(1, 0)) == 1
+        assert distance(Slope(-1, 1), Slope(1, 1)) == 2
 
 
 class TestCommonBoundaries:

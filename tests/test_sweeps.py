@@ -10,7 +10,7 @@ from fareyflats.orbifold import (
 from fareyflats.slopes import Slope, slopes_up_to
 from fareyflats.sweeps import (
     _extras_disjoint,
-    _prs_hypotheses,
+    _prs_case,
     couple_trace_suite,
     disjoint_projection_suite,
     disjoint_projection_sweep,
@@ -77,17 +77,17 @@ class TestDisjointProjectionSweep:
         s = seam(S, Slope(0, 1), ("00", "10"))
         twin = seam(S, Slope(2, 1), ("00", "10"))
         assert intersection_number(s, twin) == 0
-        assert not _prs_hypotheses(s, twin)
+        assert _prs_case(s, twin) == "excluded"
 
     def test_hypotheses_reject_self_and_crossing(self):
         s = seam(S, Slope(0, 1))
-        assert not _prs_hypotheses(s, s)
-        assert not _prs_hypotheses(s, curve(S, Slope(1, 0)))
+        assert _prs_case(s, s) is None
+        assert _prs_case(s, curve(S, Slope(1, 0))) is None
 
     def test_hypotheses_accept_disjoint_single_shared_end(self):
         s = seam(S, Slope(0, 1), ("00", "10"))
         t = seam(S, Slope(1, 0), ("00", "01"))
-        assert _prs_hypotheses(s, t)
+        assert _prs_case(s, t) == "checked"
 
 
 class TestSeededSuites:
