@@ -53,6 +53,12 @@ ENV_OUTPUT_DIR = "FAREYFLATS_OUTPUT_DIR"
 # height whose bound exceeds this budget (H = 315 is the largest accepted).
 GRAPH_VERTEX_BUDGET = 200_000
 
+# ``flats certify`` checks every pair of the (2w + 1)^n points of its window;
+# it refuses more pairs than this (n = 3 at window 5 has 885,115 pairs, n = 4
+# at window 5 has over 10^8).  ``flats export`` draws the window's grid and
+# refuses more than GRAPH_VERTEX_BUDGET points.
+CERTIFY_PAIR_BUDGET = 1_000_000
+
 
 class CliError(Exception):
     """Bad usage or bad input; maps to exit code 1."""
@@ -185,7 +191,7 @@ def _suite_command(driver, default_height):
         height = default_height if args.height is None else args.height
         report = driver(
             samples=_at_least("--samples", args.samples, 0),
-            seed=args.seed,
+            seed=0 if args.seed is None else args.seed,
             height=_at_least("--height", height, 1),
         )
         return Result(report, passed=report["pass"])
@@ -196,6 +202,11 @@ def _suite_command(driver, default_height):
 def _cmd_lemmas_prs(args) -> Result:
     if args.samples is not None:
         return _suite_command(sweeps.disjoint_projection_suite, 8)(args)
+    if args.seed is not None:
+        raise CliError(
+            "--seed only applies to the seeded suite, which --samples N "
+            "selects; without --samples, prs runs the exhaustive sweep"
+        )
     report = sweeps.disjoint_projection_sweep(
         4 if args.height is None else args.height
     )
@@ -292,7 +303,27 @@ def _cmd_scenario_audit(args) -> Result:
 # flats group
 
 
+def _window_points(args, cap: int) -> int:
+    """The (2*window + 1)^n points of the flat's window, or cap + 1 once
+    the count passes cap (so a huge --n costs nothing)."""
+    _at_least("--n", args.n, 1)
+    _at_least("--window", args.window, 1)
+    points = 1
+    for _ in range(args.n):
+        points *= 2 * args.window + 1
+        if points > cap:
+            return cap + 1
+    return points
+
+
 def _cmd_flats_certify(args) -> Result:
+    points = _window_points(args, CERTIFY_PAIR_BUDGET)
+    if points * (points - 1) // 2 > CERTIFY_PAIR_BUDGET:
+        raise CliError(
+            f"--n {args.n} with --window {args.window} is too costly: "
+            f"certifying checks every pair of the window's points, and more "
+            f"than {CERTIFY_PAIR_BUDGET} pairs are refused"
+        )
     emb = default_embedding(args.n)
     try:
         report = certify_flat(emb, args.window)
@@ -322,6 +353,11 @@ def _cmd_flats_rank(args) -> Result:
 
 
 def _cmd_flats_export(args) -> Result:
+    if _window_points(args, GRAPH_VERTEX_BUDGET) > GRAPH_VERTEX_BUDGET:
+        raise CliError(
+            f"--n {args.n} with --window {args.window} is too costly: the "
+            f"window's grid has more than {GRAPH_VERTEX_BUDGET} points"
+        )
     emb = default_embedding(args.n)
     for idx, line in enumerate(emb.lines):
         if line.lo > -args.window or line.hi < args.window:
@@ -465,7 +501,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="switch from the exhaustive sweep to the seeded suite",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="seed of the suite (default 0); needs --samples",
+    )
     p.set_defaults(handler=_cmd_lemmas_prs)
 
     for name, handler in (

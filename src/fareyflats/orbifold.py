@@ -18,15 +18,24 @@ The seeded samplers of these objects (``random_slope``, ``random_seam``
 and the rest) sit next to their constructors and are the only ones in the
 package.
 
-Every object gets a concrete realization with exact rational coordinates,
-chosen deterministically from the object's index in a configuration so
-that distinct objects are disjoint away from shared cone points.  Two
-independent crossing counters are provided: a sweep counter that counts
-integer translates of a line family crossed by a segment, and a literal
-counter that intersects segments with translated segments over an explicit
-window.  Both count crossings on the torus cover and halve on the
-pillowcase (with an evenness check); no determinant formula is assumed
-anywhere in this module.
+Every object gets a concrete realization, chosen deterministically from
+the object's index in a configuration so that distinct objects are
+disjoint away from shared cone points.  All of a configuration's offsets
+share one denominator L (``RealizationContext.scale``), so in units of 1/L
+every realization is drawn between integer points and the deck lattice is
+L*Z^2.
+
+One integer kernel, ``_crossing_events``, finds where plane segments of
+one object cross the whole preimage of another: it sweeps the other
+object's line families, keeps the hits that lie on its lifts, and
+locates each hit on the other's fundamental segment exactly.
+``intersection_number`` counts these events on the torus cover and halves
+on the pillowcase (with an evenness check), and the ribbon walk builds
+its crossing graph from them.  A literal counter, which intersects
+segments with every integer translate over an explicit window in
+rational arithmetic, is kept as the independent oracle
+(``literal_intersection_number``, ``tightness_check``).  No determinant
+formula is assumed anywhere in this module.
 """
 
 from __future__ import annotations
@@ -36,8 +45,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Iterable, Sequence
+from functools import cmp_to_key, lru_cache
+from typing import Sequence
 
 from .slopes import Slope, _extgcd, slopes_up_to
 
@@ -301,20 +310,25 @@ class SegmentRep:
         return (self.b[0] - self.a[0], self.b[1] - self.a[1])
 
 
-def _functional(slope: Slope) -> tuple[int, int]:
-    """Coefficients of c(x, y) = p*x - q*y, constant along the slope."""
-    return (slope.p, -slope.q)
+def _frame(slope: Slope) -> tuple[int, int, int, int]:
+    """(p, q, x0, y0) with p*x0 + q*y0 = 1: the slope's integer frame.
 
-
-def _apply(coeff: tuple[int, int], pt: Point) -> Fraction:
-    return coeff[0] * pt[0] + coeff[1] * pt[1]
-
-
-def _unit_point(slope: Slope) -> Point:
-    """An integer point where the slope's functional takes the value 1."""
+    c(P) = p*P[0] - q*P[1] is constant along the slope's direction
+    w = (q, p), e(P) = y0*P[0] + x0*P[1] has e(w) = 1, and the unit point
+    u = (x0, -y0) has c(u) = 1, e(u) = 0, so P = c(P)*u + e(P)*w.
+    """
     g, x0, y0 = _extgcd(slope.p, slope.q)
     assert g == 1
-    return (Fraction(x0), Fraction(-y0))
+    return slope.p, slope.q, x0, y0
+
+
+@lru_cache(maxsize=256)
+def _next_prime_above(n: int) -> int:
+    k = max(n + 1, 2)
+    while True:
+        if all(k % d for d in range(2, int(math.isqrt(k)) + 1)):
+            return k
+        k += 1
 
 
 class RealizationContext:
@@ -323,9 +337,15 @@ class RealizationContext:
     Offsets are graded so that all degeneracies (crossings at segment ends,
     cone-point hits away from shared endpoints) are impossible; the
     stability tests shrink them further and re-count to double-check.
+
+    A closed curve's anchor may still sit on another object's line; the
+    counts then slide it along itself by k/prime, where prime exceeds every
+    cross-functional value, so that each (segment, family) pair rules out
+    at most one k and five candidates always contain a clean one.  The
+    offsets and these shifts are all multiples of 1/scale.
     """
 
-    def __init__(self, objects: Sequence[PieceObject]):
+    def __init__(self, objects: Sequence[PieceObject], shrink: int = 1):
         if not objects:
             raise ValueError("empty configuration")
         kinds = {o.piece for o in objects}
@@ -334,22 +354,28 @@ class RealizationContext:
         self.piece = objects[0].piece
         self.objects = tuple(objects)
         self.norm = max(o.slope.p**2 + o.slope.q**2 for o in objects)
-        n = len(objects)
-        self.curve_offset = {
-            i: Fraction(2 * i + 1, 4 * (n + 1)) for i in range(n)
-        }
-        self.wave_gap = Fraction(1, 64 * (n + 1) * self.norm**2)
-        self.wave_normal = {
-            i: Fraction(i + 1, 256 * (n + 1) ** 2 * self.norm**3)
-            for i in range(n)
-        }
+        self.prime = _next_prime_above(2 * self.norm)
+        self.shrink = shrink
+        n1 = len(objects) + 1
+        self.scale = 256 * n1**2 * self.norm**3 * self.prime * shrink
+        # offsets in units of 1/scale: curve i sits (2i+1)/(4(n+1)) off its
+        # lattice line; a wave is opened by a gap of 1/(64(n+1)norm^2) at its
+        # end corner and lies (i+1)/(256(n+1)^2 norm^3) normals off its seam,
+        # both divided by shrink
+        self.gap = 4 * n1 * self.norm * self.prime
+        self._curve_unit = 64 * n1 * self.norm**3 * self.prime * shrink
+
+    def curve_shift(self, index: int) -> int:
+        """Curve index's offset from its lattice line, in units of 1/scale."""
+        return (2 * index + 1) * self._curve_unit
+
+    def normal_shift(self, index: int) -> int:
+        """Wave index's offset from its seam, in normals (p, -q) / scale."""
+        return (index + 1) * self.prime
 
     def scaled(self, factor: int) -> "RealizationContext":
         """A context with all small offsets divided by factor (stability)."""
-        ctx = RealizationContext(self.objects)
-        ctx.wave_gap = self.wave_gap / factor
-        ctx.wave_normal = {i: v / factor for i, v in self.wave_normal.items()}
-        return ctx
+        return RealizationContext(self.objects, self.shrink * factor)
 
 
 def _pt_add(a: Point, b: Point) -> Point:
@@ -360,8 +386,60 @@ def _pt_scale(t: Fraction, a: Point) -> Point:
     return (t * a[0], t * a[1])
 
 
-def _pt_neg(a: Point) -> Point:
-    return (-a[0], -a[1])
+_SIGNS = {PieceKind.ONE_HOLED_TORUS: (1,), PieceKind.FOUR_HOLED_SPHERE: (1, -1)}
+
+IntPoint = tuple[int, int]
+
+
+def _corner_units(label: str, scale: int) -> IntPoint:
+    """corner_lift(label) in units of 1/scale (scale is even)."""
+    a, b = corner_vec(label)
+    return (a * scale // 2, b * scale // 2)
+
+
+def _fund(
+    obj: PieceObject, ctx: RealizationContext, index: int, shift: int = 0
+) -> tuple[IntPoint, IntPoint]:
+    """The plane segment projecting one-to-one onto obj, in units of 1/scale.
+
+    The plane preimage of obj is sign*fund + scale*v over v in Z^2 and the
+    signs of its piece: +1 on the torus, +-1 on the pillowcase, which is
+    the plane modulo x -> -x and the translations.  A curve's anchor
+    slides shift units along the curve.
+    """
+    L, q, p = ctx.scale, obj.slope.q, obj.slope.p
+    if obj.kind is ObjectKind.CURVE:
+        _, _, x0, y0 = _frame(obj.slope)
+        o = ctx.curve_shift(index)
+        a = (o * x0 + shift * q, -o * y0 + shift * p)
+        return a, (a[0] + L * q, a[1] + L * p)
+    if obj.piece is PieceKind.ONE_HOLED_TORUS:
+        return (0, 0), (L * q, L * p)
+    cx, cy = _corner_units(obj.endpoints[0], L)
+    if obj.kind is ObjectKind.SEAM:
+        # half of the sigma-invariant loop: base corner to partner corner
+        return (cx, cy), (cx + L // 2 * q, cy + L // 2 * p)
+    # wave: straight loop at a small normal offset from the seam line,
+    # opened up by a small gap at the end corner; the cone angle pi turns
+    # the straight quotient into the U-turn around the 'over' corner.
+    eps, gap = ctx.normal_shift(index), ctx.gap
+    bx, by = cx + eps * p, cy - eps * q
+    return (bx + gap * q, by + gap * p), (bx + (L - gap) * q, by + (L - gap) * p)
+
+
+def _fund_ends(obj: PieceObject) -> tuple[str | None, ...]:
+    """Cone-point labels at the two ends of obj's fundamental segment."""
+    return obj.endpoints if obj.kind is ObjectKind.SEAM else (None, None)
+
+
+def _cover(obj: PieceObject, ctx: RealizationContext, index: int, shift: int = 0):
+    """(a, b, ends) segments projecting bijectively onto the torus cover."""
+    a, b = _fund(obj, ctx, index, shift)
+    ends = _fund_ends(obj)
+    return [
+        ((s * a[0], s * a[1]), (s * b[0], s * b[1]), ends)
+        for s in _SIGNS[obj.piece]
+    ]
 
 
 def cover_segments(
@@ -373,60 +451,28 @@ def cover_segments(
     """Plane segments projecting bijectively onto the torus-cover preimage.
 
     On the torus the preimage is the object itself; on the pillowcase it is
-    the full preimage in R^2/Z^2 (two loops for a curve, one sigma-invariant
-    loop for a seam, two truncated loops for a wave).
+    the full preimage in R^2/Z^2: the fundamental segment and its image
+    under x -> -x (two loops for a curve, the two halves of one
+    sigma-invariant loop for a seam, two truncated loops for a wave).  A
+    curve's anchor slides anchor_shift periods along the curve.
     """
-    w: Point = (Fraction(obj.slope.q), Fraction(obj.slope.p))
-    torus = obj.piece is PieceKind.ONE_HOLED_TORUS
-    if obj.kind is ObjectKind.CURVE:
-        o = ctx.curve_offset[index]
-        anchor = _pt_add(
-            _pt_scale(o, _unit_point(obj.slope)), _pt_scale(anchor_shift, w)
+    L, q, p = ctx.scale, obj.slope.q, obj.slope.p
+    move = anchor_shift if obj.kind is ObjectKind.CURVE else 0
+    fund = [
+        (Fraction(x, L) + move * q, Fraction(y, L) + move * p)
+        for x, y in _fund(obj, ctx, index)
+    ]
+    ends = _fund_ends(obj)
+    out = []
+    for s in _SIGNS[obj.piece]:
+        a, b = ((s * x, s * y) for x, y in fund)
+        corners = tuple(
+            (Fraction(t), pt, label)
+            for t, pt, label in ((0, a, ends[0]), (1, b, ends[1]))
+            if label is not None
         )
-        seg = SegmentRep(a=anchor, b=_pt_add(anchor, w))
-        if torus:
-            return (seg,)
-        mirror = SegmentRep(a=_pt_neg(anchor), b=_pt_add(_pt_neg(anchor), _pt_neg(w)))
-        return (seg, mirror)
-    if obj.kind is ObjectKind.SEAM:
-        if torus:
-            zero = (Fraction(0), Fraction(0))
-            return (
-                SegmentRep(
-                    a=zero,
-                    b=w,
-                    corners=(
-                        (Fraction(0), zero, TORUS_MARK),
-                        (Fraction(1), w, TORUS_MARK),
-                    ),
-                ),
-            )
-        base_label = obj.endpoints[0]
-        base = corner_lift(base_label)
-        mid = _pt_add(base, _pt_scale(Fraction(1, 2), w))
-        return (
-            SegmentRep(
-                a=base,
-                b=_pt_add(base, w),
-                corners=(
-                    (Fraction(0), base, base_label),
-                    (Fraction(1, 2), mid, obj.endpoints[1]),
-                    (Fraction(1), _pt_add(base, w), base_label),
-                ),
-            ),
-        )
-    # wave: straight loop at a small normal offset from the seam line,
-    # opened up by a small gap at the end corner; the cone angle pi turns
-    # the straight quotient into the U-turn around the 'over' corner.
-    gap = ctx.wave_gap
-    eps = ctx.wave_normal[index]
-    normal: Point = (Fraction(obj.slope.p), Fraction(-obj.slope.q))
-    base = _pt_add(corner_lift(obj.endpoints[0]), _pt_scale(eps, normal))
-    lo = _pt_add(base, _pt_scale(gap, w))
-    hi = _pt_add(base, _pt_scale(1 - gap, w))
-    seg = SegmentRep(a=lo, b=hi)
-    mirror = SegmentRep(a=_pt_neg(lo), b=_pt_neg(hi))
-    return (seg, mirror)
+        out.append(SegmentRep(a=a, b=b, corners=corners))
+    return tuple(out)
 
 
 def line_families(
@@ -437,96 +483,145 @@ def line_families(
     Only line-like objects (curves, seams, torus arcs) have them; a wave is
     not straight downstairs and must take the segment role in a count.
     """
-    coeff = _functional(obj.slope)
-    if obj.kind is ObjectKind.CURVE:
-        o = ctx.curve_offset[index]
-        if obj.piece is PieceKind.ONE_HOLED_TORUS:
-            return ((coeff, o),)
-        return ((coeff, o), (coeff, -o))
-    if obj.kind is ObjectKind.SEAM:
-        if obj.piece is PieceKind.ONE_HOLED_TORUS:
-            return ((coeff, Fraction(0)),)
-        return ((coeff, _apply(coeff, corner_lift(obj.endpoints[0]))),)
-    raise ValueError("waves have no line family")
+    if obj.kind is ObjectKind.WAVE:
+        raise ValueError("waves have no line family")
+    p, q = obj.slope.p, obj.slope.q
+    (ax, ay), _ = _fund(obj, ctx, index)
+    off = Fraction(p * ax - q * ay, ctx.scale)
+    if obj.kind is ObjectKind.CURVE and obj.piece is PieceKind.FOUR_HOLED_SPHERE:
+        return (((p, -q), off), ((p, -q), -off))
+    return (((p, -q), off),)
 
 
-def _strict_between_count(f0: Fraction, f1: Fraction) -> int:
+# ---------------------------------------------------------------------------
+# crossing-event kernel
+
+
+class _AnchorHit(DegenerateRealization):
+    """A closed curve's period anchor lies on another object; sliding the
+    anchor along the curve (by k/prime) clears it."""
+
+
+def _strict_between_count(f0, f1, unit=1) -> int:
+    """How many multiples of unit lie strictly between f0 and f1."""
     lo, hi = (f0, f1) if f0 <= f1 else (f1, f0)
-    return max(0, (math.ceil(hi) - 1) - (math.floor(lo) + 1) + 1)
+    return max(0, -(-hi // unit) - 1 - lo // unit)
 
 
-def _count_segments_vs_families(
-    segments: Iterable[SegmentRep],
+def _crossing_events(
     x_obj: PieceObject,
+    x_segments: Sequence[tuple[IntPoint, IntPoint, tuple[str | None, ...]]],
     y_obj: PieceObject,
-    families,
-) -> int:
-    y_labels = y_obj.realization_corner_labels()
-    total = 0
-    for seg in segments:
-        for coeff, off in families:
-            f0 = _apply(coeff, seg.a) - off
-            f1 = _apply(coeff, seg.b) - off
-            if f0 == f1:
-                continue
-            count = _strict_between_count(f0, f1)
-            for t, pt, label in seg.corners:
-                fc = _apply(coeff, pt) - off
-                if fc.denominator != 1:
-                    continue
-                # The family line passes a cone point; it must be one of
-                # the line-like object's own endpoints, and the meeting is
-                # a shared-endpoint touch, not a crossing.
-                if label not in y_labels:
-                    raise DegenerateRealization(
-                        f"{y_obj} line passes foreign cone point {label}"
-                    )
-                if Fraction(0) < t < Fraction(1):
-                    count -= 1
-            for f, t in ((f0, Fraction(0)), (f1, Fraction(1))):
-                if f.denominator == 1 and not any(
-                    ct == t for ct, _, _ in seg.corners
-                ):
-                    raise DegenerateRealization(
-                        f"segment endpoint of {x_obj} lies on a {y_obj} line"
-                    )
-            total += count
-    return total
-
-
-def _next_prime_above(n: int) -> int:
-    k = max(n + 1, 2)
-    while True:
-        if all(k % d for d in range(2, int(math.isqrt(k)) + 1)):
-            return k
-        k += 1
-
-
-def _fast_cover_count(
-    x_obj: PieceObject,
-    x_index: int,
-    y_obj: PieceObject,
-    y_index: int,
+    y_fund: tuple[IntPoint, IntPoint],
     ctx: RealizationContext,
+    count_only: bool = False,
+) -> list | int:
+    """Crossings of plane segments of x with the whole plane preimage of y.
+
+    x_segments are (a, b, ends) in units of 1/ctx.scale (L), ends naming the
+    cone point at each end or None; y_fund is y's fundamental segment, whose
+    lifts sign*y_fund + L*v make up y's preimage.  In y's frame (_frame)
+    every lift lies on a line c = sign*c(y_fund) (mod L), so a segment
+    meets those lines where c - sign*c(y_fund) is a multiple of L strictly
+    inside its range, and each hit is located on the lift through it by
+    its e-coordinate modulo L; a wave's lifts leave a gap on their lines,
+    which filters its hits.
+
+    Returns the events (t_x, t_y, (sign, shift)): t_x on the x segment and
+    t_y on y_fund as (numerator, denominator), and the deck map
+    z -> sign*z + shift taking y_fund(t_y) to the crossing.  With
+    count_only it returns their number, counting a family whose lifts
+    cover its lines (curves, seams) without visiting its hits.
+
+    Raises DegenerateRealization when an x segment ends on y (_AnchorHit
+    if x is a curve), when y passes a cone point of x that is not one of
+    y's ends, or when a crossing lands on a tip of y.
+    """
+    L = ctx.scale
+    p, q, x0, y0 = _frame(y_obj.slope)
+    (yax, yay), (ybx, yby) = y_fund
+    cy = p * yax - q * yay
+    ey = y0 * yax + x0 * yay
+    span = y0 * ybx + x0 * yby - ey  # e-length of y_fund: L when closed
+    families: list[tuple[int, list[tuple[int, int]]]] = []
+    for sign in _SIGNS[y_obj.piece]:
+        for off, lifts in families:
+            if (off - sign * cy) % L == 0:  # a seam's halves share lines
+                lifts.append((sign, (off - sign * cy) // L))
+                break
+        else:
+            families.append((sign * cy, [(sign, 0)]))
+    y_labels = y_obj.endpoints if y_obj.kind is ObjectKind.SEAM else ()
+    end_hit = _AnchorHit if x_obj.kind is ObjectKind.CURVE else DegenerateRealization
+    events = []
+    total = 0
+    for a, b, ends in x_segments:
+        ca = p * a[0] - q * a[1]
+        dc = p * b[0] - q * b[1] - ca
+        if dc == 0:
+            continue  # parallel to y
+        for off, lifts in families:
+            f0 = ca - off
+            for f, pt, label in ((f0, a, ends[0]), (f0 + dc, b, ends[1])):
+                # an end on y's line is a touch at a shared cone point, and
+                # nothing at all where the line runs in a wave's gap
+                if f % L or label in y_labels:
+                    continue
+                e = y0 * pt[0] + x0 * pt[1]
+                if all((s * e - ey) % L > span for s, _ in lifts):
+                    continue
+                if label is None:
+                    raise end_hit(f"an end of {x_obj} lies on {y_obj}")
+                raise DegenerateRealization(
+                    f"{y_obj} passes foreign cone point {label}"
+                )
+            count = _strict_between_count(f0, f0 + dc, L)
+            if count_only and len(lifts) * span >= L:
+                total += count
+                continue
+            ea = y0 * a[0] + x0 * a[1]
+            de = y0 * b[0] + x0 * b[1] - ea
+            den, sgn = (dc, 1) if dc > 0 else (-dc, -1)
+            k0 = min(f0, f0 + dc) // L + 1
+            for k in range(k0, k0 + count):
+                num = sgn * (k * L - f0)  # t_x = num / den
+                e_hit = ea * den + num * de  # e of the hit, times den
+                for s, dk in lifts:
+                    m, r = divmod(s * e_hit - ey * den, L * den)
+                    if r > span * den:
+                        continue
+                    if span < L and (r == 0 or r == span * den):
+                        raise DegenerateRealization(
+                            f"a crossing of {x_obj} sits at a tip of {y_obj}"
+                        )
+                    if count_only:
+                        total += 1
+                    else:
+                        cv, ev = k + dk, s * m  # the lattice vector v = cv*u + ev*w
+                        shift = (L * (cv * x0 + ev * q), L * (ev * p - cv * y0))
+                        events.append(((num, den), (r, span * den), (s, shift)))
+                    break
+    return total if count_only else events
+
+
+def _cover_count(
+    x: PieceObject, ix: int, y: PieceObject, iy: int, ctx: RealizationContext
 ) -> int:
-    families = line_families(y_obj, ctx, y_index)
-    # A closed curve's anchor may sit exactly on a family line; sliding it
-    # along its own line by k/P fixes that.  P is a prime exceeding every
-    # cross-functional value, so each (segment, family) pair rules out at
-    # most one k and five candidates always contain a clean one.
-    prime = _next_prime_above(2 * ctx.norm)
+    """Crossings of x's torus-cover preimage with y's preimage.
+
+    A curve x whose anchor lies on y slides it by k/prime, k < 5 (see
+    RealizationContext).
+    """
+    y_fund = _fund(y, ctx, iy)
+    step = ctx.scale // ctx.prime
     last: DegenerateRealization | None = None
     for attempt in range(5):
-        segs = cover_segments(
-            x_obj, ctx, x_index, anchor_shift=Fraction(attempt, prime)
-        )
+        segments = _cover(x, ctx, ix, attempt * step)
         try:
-            return _count_segments_vs_families(segs, x_obj, y_obj, families)
-        except DegenerateRealization as exc:
+            return _crossing_events(x, segments, y, y_fund, ctx, count_only=True)
+        except _AnchorHit as exc:
             last = exc
-            if x_obj.kind is not ObjectKind.CURVE:
-                raise
-    raise last  # pragma: no cover - five shifts cannot all degenerate
+    raise DegenerateRealization(f"anchor shifts exhausted: {last}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -657,9 +752,11 @@ def intersection_number(
 ) -> int:
     """Geometric crossing number of two objects on a piece.
 
-    Identical descriptors count zero.  Wave against wave goes through the
-    literal counter; every other pair through the sweep counter.  On the
-    pillowcase the cover count is halved after an evenness check.
+    Identical descriptors count zero.  The crossing events of one object's
+    torus-cover segments with the other's preimage are counted; a wave
+    takes the segment side against a curve or seam, whose line families
+    are then counted without visiting their hits.  On the pillowcase the
+    cover count is halved after an evenness check.
     """
     if x.piece is not y.piece:
         raise ValueError("objects live on different pieces")
@@ -672,18 +769,10 @@ def intersection_number(
         iy = ctx.objects.index(y)
     except ValueError as exc:
         raise ValueError("objects must belong to the context") from exc
-    if x.kind is ObjectKind.WAVE and y.kind is ObjectKind.WAVE:
-        raw = _literal_count(
-            x,
-            cover_segments(x, ctx, ix),
-            y,
-            cover_segments(y, ctx, iy),
-            x.piece,
-        )
-    elif y.kind is ObjectKind.WAVE:
-        raw = _fast_cover_count(y, iy, x, ix, ctx)
+    if y.kind is ObjectKind.WAVE and x.kind is not ObjectKind.WAVE:
+        raw = _cover_count(y, iy, x, ix, ctx)
     else:
-        raw = _fast_cover_count(x, ix, y, iy, ctx)
+        raw = _cover_count(x, ix, y, iy, ctx)
     if x.piece is PieceKind.FOUR_HOLED_SPHERE:
         if raw % 2:
             raise AssertionError(
@@ -713,7 +802,7 @@ def literal_intersection_number(
     # Closed-curve anchors may coincide with translates of the other
     # object's endpoints; slide each curve along itself (by multiples of
     # 1/P for primes beyond every functional value) until nothing does.
-    p1 = _next_prime_above(2 * ctx.norm)
+    p1 = ctx.prime
     p2 = _next_prime_above(p1)
     raw = None
     last: DegenerateRealization | None = None
@@ -795,7 +884,10 @@ class Configuration:
     def to_json_dict(self) -> dict:
         """Fixture form: descriptors plus the graded offsets as strings."""
 
-        def frac(f: Fraction) -> str:
+        ctx = self.ctx
+
+        def frac(units: int) -> str:
+            f = Fraction(units, ctx.scale)
             return f"{f.numerator}/{f.denominator}"
 
         n = len(self.objects)
@@ -803,11 +895,9 @@ class Configuration:
             "piece": self.piece.value,
             "objects": [o.to_json_dict() for o in self.objects],
             "offsets": {
-                "curve": [frac(self.ctx.curve_offset[i]) for i in range(n)],
-                "wave_gap": frac(self.ctx.wave_gap),
-                "wave_normal": [
-                    frac(self.ctx.wave_normal[i]) for i in range(n)
-                ],
+                "curve": [frac(ctx.curve_shift(i)) for i in range(n)],
+                "wave_gap": frac(ctx.gap),
+                "wave_normal": [frac(ctx.normal_shift(i)) for i in range(n)],
             },
         }
 

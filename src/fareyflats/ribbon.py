@@ -8,14 +8,18 @@ component comes back classified as a curve, seam, wave, or an inessential
 (boundary-parallel) circle, with the class computed from the developed
 holonomy of the walk, not from any formula.
 
-The walk happens on exact plane lifts.  Each step carries an affine deck
-map x -> +-x + t; crossing a closed curve's period seam composes a
-translation, and swinging around a cone point may compose a point
-reflection.  On the pillowcase the rotation at a fat vertex uses both
-lifts of every attached strand (the cone angle is pi, so a full upstairs
-turn is two downstairs turns); ray directions use the exact offset
-vectors of the strands, which the realization constants keep pairwise
-non-parallel.
+The walk happens on exact plane lifts, in the integer units of 1/L of the
+configuration's realization context (see ``orbifold``).  The crossings
+are the events of orbifold's integer kernel, each located on both
+objects' fundamental segments together with the deck map between their
+charts; their number is checked against ``intersection_number``.  Each
+step carries an affine deck map x -> +-x + t; crossing a closed curve's
+period seam composes a translation, and swinging around a cone point may
+compose a point reflection.  On the pillowcase the rotation at a fat
+vertex uses both lifts of every attached strand (the cone angle is pi, so
+a full upstairs turn is two downstairs turns); ray directions use the
+exact offset vectors of the strands, which the realization constants keep
+pairwise non-parallel.
 """
 
 from __future__ import annotations
@@ -29,33 +33,37 @@ from typing import Iterable, Sequence
 from .orbifold import (
     CORNER_LABELS,
     DegenerateRealization,
+    IntPoint,
     ObjectKind,
     PieceKind,
     PieceObject,
-    Point,
     RealizationContext,
-    SegmentRep,
     TORUS_MARK,
-    corner_lift,
-    cover_segments,
     curve,
     intersection_number,
-    line_families,
     partner_label,
     seam,
     wave,
+    _AnchorHit,
     _angle_cmp_from,
-    _apply,
-    _next_prime_above,
-    _pt_add,
-    _pt_neg,
-    _pt_scale,
+    _corner_units,
+    _crossing_events,
+    _fund,
+    _fund_ends,
 )
 from .slopes import Slope, slope_from_direction
 
 
-class _RetryWalk(DegenerateRealization):
-    """A closed curve's period anchor hit a line; shifting it will help."""
+def _add(a: IntPoint, b: IntPoint) -> IntPoint:
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _sub(a: IntPoint, b: IntPoint) -> IntPoint:
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _neg(a: IntPoint) -> IntPoint:
+    return (-a[0], -a[1])
 
 
 @dataclass(frozen=True)
@@ -63,40 +71,26 @@ class AffineMap:
     """x -> sign*x + shift with sign in {+1, -1}."""
 
     sign: int
-    shift: Point
+    shift: IntPoint
 
-    def __call__(self, pt: Point) -> Point:
+    def __call__(self, pt: IntPoint) -> IntPoint:
         return (self.sign * pt[0] + self.shift[0], self.sign * pt[1] + self.shift[1])
 
-    def vec(self, v: Point) -> Point:
+    def vec(self, v: IntPoint) -> IntPoint:
         return (self.sign * v[0], self.sign * v[1])
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         # (self o other)(x) = self(other(x))
         return AffineMap(
             sign=self.sign * other.sign,
-            shift=_pt_add(self.vec(other.shift), self.shift),
+            shift=_add(self.vec(other.shift), self.shift),
         )
 
     def inverse(self) -> "AffineMap":
-        return AffineMap(sign=self.sign, shift=_pt_scale(Fraction(-self.sign), self.shift))
+        return AffineMap(sign=self.sign, shift=self.vec(_neg(self.shift)))
 
 
-IDENTITY = AffineMap(1, (Fraction(0), Fraction(0)))
-
-
-def _fund_segment(
-    obj: PieceObject,
-    ctx: RealizationContext,
-    index: int,
-    anchor_shift: Fraction = Fraction(0),
-) -> SegmentRep:
-    """The single plane segment projecting 1:1 onto the object downstairs."""
-    if obj.kind is ObjectKind.SEAM and obj.piece is PieceKind.FOUR_HOLED_SPHERE:
-        base = corner_lift(obj.endpoints[0])
-        w = (Fraction(obj.slope.q), Fraction(obj.slope.p))
-        return SegmentRep(a=base, b=_pt_add(base, _pt_scale(Fraction(1, 2), w)))
-    return cover_segments(obj, ctx, index, anchor_shift)[0]
+IDENTITY = AffineMap(1, (0, 0))
 
 
 def _is_closed(obj: PieceObject) -> bool:
@@ -110,27 +104,30 @@ class _End:
     obj_index: int
     which: int  # 0 = segment start, 1 = segment end
     label: str
-    corner_point: Point  # conceptual cone-point lift in fund coordinates
-    strand_point: Point  # actual segment endpoint
-    direction: Point  # into the strand, away from the cone point
+    corner_point: IntPoint  # conceptual cone-point lift in fund coordinates
+    strand_point: IntPoint  # actual segment endpoint
+    direction: IntPoint  # into the strand, away from the cone point
     edge: tuple[int, bool] | None = None  # (edge id, leaves this end)
 
 
-def _object_ends(obj: PieceObject, seg: SegmentRep) -> list[_End]:
+def _object_ends(
+    obj: PieceObject, seg: tuple[IntPoint, IntPoint], scale: int
+) -> list[_End]:
     if _is_closed(obj):
         return []
-    d = seg.direction()
+    a, b = seg
+    d = _sub(b, a)
     if obj.kind is ObjectKind.WAVE:
-        lift0 = corner_lift(obj.endpoints[0])
-        w = (Fraction(obj.slope.q), Fraction(obj.slope.p))
+        lift0 = _corner_units(obj.endpoints[0], scale)
+        far = _add(lift0, (scale * obj.slope.q, scale * obj.slope.p))
         return [
-            _End(-1, 0, obj.endpoints[0], lift0, seg.a, d),
-            _End(-1, 1, obj.endpoints[0], _pt_add(lift0, w), seg.b, _pt_neg(d)),
+            _End(-1, 0, obj.endpoints[0], lift0, a, d),
+            _End(-1, 1, obj.endpoints[0], far, b, _neg(d)),
         ]
     labels = obj.endpoints
     return [
-        _End(-1, 0, labels[0], seg.a, seg.a, d),
-        _End(-1, 1, labels[1], seg.b, seg.b, _pt_neg(d)),
+        _End(-1, 0, labels[0], a, a, d),
+        _End(-1, 1, labels[1], b, b, _neg(d)),
     ]
 
 
@@ -160,10 +157,14 @@ class _Walk:
         self.labels = include_labels
         self.ctx = ctx
         self.piece = ctx.piece
+        shift = Fraction(anchor_shift) * ctx.scale
+        if shift.denominator != 1:
+            raise ValueError("anchor shifts are multiples of 1/ctx.scale")
+        # fundamental segments and their directions, in units of 1/ctx.scale
         self.segments = [
-            _fund_segment(o, ctx, i, anchor_shift)
-            for i, o in enumerate(self.objects)
+            _fund(o, ctx, i, int(shift)) for i, o in enumerate(self.objects)
         ]
+        self.dirs = [_sub(b, a) for a, b in self.segments]
         # node tables
         self.crossings: list[dict] = []
         self.terminals: list[dict] = []
@@ -183,10 +184,18 @@ class _Walk:
         self._make_edges()
 
     def _find_crossings(self):
+        """Crossings of fund(i) with the full preimage of each later object j.
+
+        Each event's deck maps fund(j) coordinates into fund(i)'s chart.
+        """
         n = len(self.objects)
         for i in range(n):
+            a, b = self.segments[i]
+            strand = [(a, b, _fund_ends(self.objects[i]))]
             for j in range(i + 1, n):
-                events = self._pair_events(i, j)
+                events = _crossing_events(
+                    self.objects[i], strand, self.objects[j], self.segments[j], self.ctx
+                )
                 expected = intersection_number(
                     self.objects[i], self.objects[j], self.ctx
                 )
@@ -195,141 +204,17 @@ class _Walk:
                         f"event count {len(events)} for {self.objects[i]} vs "
                         f"{self.objects[j]} disagrees with the oracle {expected}"
                     )
-                for ti, tj, pt_i, deck in events:
+                for t_i, t_j, (sign, shift) in events:
                     idx = len(self.crossings)
                     self.crossings.append(
-                        {
-                            "i": i,
-                            "j": j,
-                            "ti": ti,
-                            "tj": tj,
-                            "point": pt_i,
-                            "deck": deck,
-                        }
+                        {"i": i, "j": j, "deck": AffineMap(sign, shift)}
                     )
-                    self.timeline[i].append((ti, ("x", idx, "i")))
-                    self.timeline[j].append((tj, ("x", idx, "j")))
-
-    def _pair_events(self, i: int, j: int):
-        """Crossing events of fund(i) with the full preimage of object j.
-
-        Returns (t_i, t_j, point in fund(i) coordinates, deck) where deck
-        maps fund(j) coordinates into fund(i)'s chart.
-        """
-        oi, oj = self.objects[i], self.objects[j]
-        seg = self.segments[i]
-        d = seg.direction()
-        hits: list[tuple[Fraction, Point]] = []
-        if oj.kind is ObjectKind.WAVE:
-            for pt, t in self._segment_hits_vs_segments(seg, i, j):
-                hits.append((t, pt))
-        else:
-            for coeff, off in line_families(oj, self.ctx, j):
-                f0 = _apply(coeff, seg.a) - off
-                f1 = _apply(coeff, seg.b) - off
-                if f0 == f1:
-                    continue
-                for f, endpt in ((f0, seg.a), (f1, seg.b)):
-                    if f.denominator == 1 and self._cone_label(endpt) is None:
-                        if _is_closed(oi):
-                            raise _RetryWalk("period anchor on a line")
-                        raise DegenerateRealization(
-                            "a strand endpoint lies exactly on another "
-                            "object's line; perturb the configuration"
-                        )
-                denom = f1 - f0
-                lo, hi = (f0, f1) if f0 <= f1 else (f1, f0)
-                for k in range(math.floor(lo) + 1, math.ceil(hi)):
-                    t = (Fraction(k) - f0) / denom
-                    pt = _pt_add(seg.a, _pt_scale(t, d))
-                    if self._cone_label(pt) is not None:
-                        continue  # shared-corner touch, not a crossing
-                    hits.append((t, pt))
-        out = []
-        for t, pt in sorted(hits):
-            tj, deck = self._locate_on_fund(pt, j)
-            out.append((t, tj, pt, deck))
-        return out
-
-    def _segment_hits_vs_segments(self, seg: SegmentRep, i: int, j: int):
-        """Literal crossings of seg with all plane lifts of object j."""
-        oj = self.objects[j]
-        base = cover_segments(oj, self.ctx, j)
-        hits = []
-        xlo = (min(seg.a[0], seg.b[0]), min(seg.a[1], seg.b[1]))
-        xhi = (max(seg.a[0], seg.b[0]), max(seg.a[1], seg.b[1]))
-        for ys in base:
-            ylo = (min(ys.a[0], ys.b[0]), min(ys.a[1], ys.b[1]))
-            yhi = (max(ys.a[0], ys.b[0]), max(ys.a[1], ys.b[1]))
-            for di in range(math.floor(xlo[0] - yhi[0]) - 1, math.ceil(xhi[0] - ylo[0]) + 2):
-                for dj in range(
-                    math.floor(xlo[1] - yhi[1]) - 1, math.ceil(xhi[1] - ylo[1]) + 2
-                ):
-                    shift = (Fraction(di), Fraction(dj))
-                    moved = SegmentRep(a=_pt_add(ys.a, shift), b=_pt_add(ys.b, shift))
-                    ds, dt = seg.direction(), moved.direction()
-                    denom = ds[0] * dt[1] - ds[1] * dt[0]
-                    if denom == 0:
-                        continue
-                    diff = (moved.a[0] - seg.a[0], moved.a[1] - seg.a[1])
-                    u = (diff[0] * dt[1] - diff[1] * dt[0]) / denom
-                    v = (diff[0] * ds[1] - diff[1] * ds[0]) / denom
-                    if not (0 <= u <= 1 and 0 <= v <= 1):
-                        continue
-                    if u in (0, 1) or v in (0, 1):
-                        if u in (0, 1) and _is_closed(self.objects[i]):
-                            raise _RetryWalk("period anchor on a wave")
-                        raise DegenerateRealization(
-                            "a crossing sits exactly at a strand tip; "
-                            "perturb the configuration"
-                        )
-                    hits.append((_pt_add(seg.a, _pt_scale(u, ds)), u))
-        return hits
-
-    def _locate_on_fund(self, pt: Point, j: int):
-        """Find (t, deck) with deck(fund_j(t)) == pt, t in [0, 1)."""
-        seg = self.segments[j]
-        d = seg.direction()
-        norm = d[0] * d[0] + d[1] * d[1]
-        signs = (1,) if self.piece is PieceKind.ONE_HOLED_TORUS else (1, -1)
-        matches = []
-        for sign in signs:
-            # deck: x -> sign*x + v, so fund point is sign*(pt - v)
-            # project the line position first, then verify exactly.
-            target = pt if sign == 1 else _pt_neg(pt)
-            # candidate translates: fund_j + v must contain target (up to sign)
-            span = 2 + int(abs(target[0]) + abs(seg.a[0]) + abs(seg.b[0]))
-            span_y = 2 + int(abs(target[1]) + abs(seg.a[1]) + abs(seg.b[1]))
-            for vx in range(-span, span + 1):
-                for vy in range(-span_y, span_y + 1):
-                    q = (target[0] - vx, target[1] - vy)
-                    rel = (q[0] - seg.a[0], q[1] - seg.a[1])
-                    t = (rel[0] * d[0] + rel[1] * d[1]) / norm
-                    if not (0 <= t < 1):
-                        continue
-                    if _pt_add(seg.a, _pt_scale(t, d)) != q:
-                        continue
-                    # deck(x) = sign*x + shift must send q to pt exactly
-                    shift = (pt[0] - sign * q[0], pt[1] - sign * q[1])
-                    matches.append((t, AffineMap(sign, shift)))
-        if len(matches) != 1:
-            raise AssertionError(
-                f"crossing lift lookup found {len(matches)} matches; bug"
-            )
-        return matches[0]
-
-    def _cone_label(self, pt: Point) -> str | None:
-        if self.piece is PieceKind.ONE_HOLED_TORUS:
-            if pt[0].denominator == 1 and pt[1].denominator == 1:
-                return TORUS_MARK
-            return None
-        if (2 * pt[0]).denominator == 1 and (2 * pt[1]).denominator == 1:
-            return f"{int(2 * pt[0]) % 2}{int(2 * pt[1]) % 2}"
-        return None
+                    self.timeline[i].append((Fraction(*t_i), ("x", idx, "i")))
+                    self.timeline[j].append((Fraction(*t_j), ("x", idx, "j")))
 
     def _place_ends(self):
         for idx, obj in enumerate(self.objects):
-            for end in _object_ends(obj, self.segments[idx]):
+            for end in _object_ends(obj, self.segments[idx], self.ctx.scale):
                 end.obj_index = idx
                 t = Fraction(end.which)
                 if end.label in self.labels:
@@ -354,7 +239,7 @@ class _Walk:
             if _is_closed(obj):
                 if not events:
                     continue  # isolated loop, handled separately
-                w = self.segments[idx].direction()
+                w = self.dirs[idx]
                 for k in range(len(events)):
                     nxt = (k + 1) % len(events)
                     wrap = nxt == 0
@@ -400,18 +285,15 @@ class _Walk:
 
     # -- tracing -----------------------------------------------------------
 
-    def _edge_dir_vec(self, edge) -> Point:
-        return self.segments[edge["obj"]].direction()
-
     def _next_from_crossing(self, node, enter_side: str, arriving_dir: int, phi_i):
         """Rotate at a 4-valent crossing; phi_i maps fund(i)'s chart out."""
-        i_dir = self.segments[node["i"]].direction()
-        j_dir_local = node["deck"].vec(self.segments[node["j"]].direction())
+        i_dir = self.dirs[node["i"]]
+        j_dir_local = node["deck"].vec(self.dirs[node["j"]])
         slots = {
             "i+": i_dir,
-            "i-": _pt_neg(i_dir),
+            "i-": _neg(i_dir),
             "j+": j_dir_local,
-            "j-": _pt_neg(j_dir_local),
+            "j-": _neg(j_dir_local),
         }
         enter_key = f"{enter_side}{'-' if arriving_dir > 0 else '+'}"
         # The reverse ray points back along the strand we arrived on.
@@ -429,25 +311,22 @@ class _Walk:
         """Swing around a cone point; phi maps the arriving fund chart out."""
         fat = self.fats[label]
         c0 = (
-            (Fraction(0), Fraction(0))
+            (0, 0)
             if self.piece is PieceKind.ONE_HOLED_TORUS
-            else corner_lift(label)
+            else _corner_units(label, self.ctx.scale)
         )
         branches = (0,) if self.piece is PieceKind.ONE_HOLED_TORUS else (0, 1)
         rays = []
         for k, att in enumerate(fat["attachments"]):
-            offset = (
-                att.strand_point[0] - att.corner_point[0],
-                att.strand_point[1] - att.corner_point[1],
-            )
+            offset = _sub(att.strand_point, att.corner_point)
             rvec = att.direction if offset == (0, 0) else offset
-            translate = AffineMap(1, _pt_add(c0, _pt_neg(att.corner_point)))
+            translate = AffineMap(1, _sub(c0, att.corner_point))
             for b in branches:
                 if b == 0:
                     rays.append((k, b, rvec, translate))
                 else:
-                    flip = AffineMap(-1, _pt_add(c0, att.corner_point))
-                    rays.append((k, b, _pt_neg(rvec), flip))
+                    flip = AffineMap(-1, _add(c0, att.corner_point))
+                    rays.append((k, b, _neg(rvec), flip))
         enter = next(r for r in rays if r[0] == att_idx and r[1] == 0)
         # chart map: the arriving strand is identified with its translate
         # lift; either lift gives the same downstairs walk.
@@ -565,22 +444,20 @@ class _Walk:
     def _classify_arc(
         self, start: _End, end: _End, phi: AffineMap, count: int
     ) -> BoundaryComponent:
-        start_lift = start.corner_point
-        end_lift = phi(end.corner_point)
-        d = (end_lift[0] - start_lift[0], end_lift[1] - start_lift[1])
+        d = _sub(phi(end.corner_point), start.corner_point)
+        unit = self.ctx.scale
         labels = (start.label, end.label)
         if self.piece is PieceKind.ONE_HOLED_TORUS:
             if d == (0, 0):
                 return BoundaryComponent("inessential", None, labels, count)
-            vec = _require_lattice(d)
+            vec = _lattice(d, unit)
             return BoundaryComponent(
                 "seam", seam(self.piece, _primitive_slope(vec)), labels, count
             )
         if labels[0] == labels[1]:
             if d == (0, 0):
                 return BoundaryComponent("inessential", None, labels, count)
-            vec = _require_lattice(d)
-            slope = _primitive_slope(vec)
+            slope = _primitive_slope(_lattice(d, unit))
             over = partner_label(slope, labels[0])
             return BoundaryComponent(
                 "wave",
@@ -588,8 +465,7 @@ class _Walk:
                 labels,
                 count,
             )
-        doubled = _require_lattice((2 * d[0], 2 * d[1]))
-        slope = _primitive_slope(doubled)
+        slope = _primitive_slope(_lattice((2 * d[0], 2 * d[1]), unit))
         if partner_label(slope, labels[0]) != labels[1]:
             raise AssertionError("seam class violates corner parity; bug")
         return BoundaryComponent(
@@ -604,16 +480,17 @@ class _Walk:
             return BoundaryComponent("inessential", None, (), count)
         if phi.shift == (0, 0):
             return BoundaryComponent("inessential", None, (), count)
-        vec = _require_lattice(phi.shift)
+        vec = _lattice(phi.shift, self.ctx.scale)
         return BoundaryComponent(
             "curve", curve(self.piece, _primitive_slope(vec)), (), count
         )
 
 
-def _require_lattice(d: Point) -> tuple[int, int]:
-    if d[0].denominator != 1 or d[1].denominator != 1:
-        raise AssertionError(f"expected a lattice vector, got {d}")
-    return (int(d[0]), int(d[1]))
+def _lattice(d: IntPoint, unit: int) -> tuple[int, int]:
+    """d, given in units of 1/unit, as a lattice vector."""
+    if d[0] % unit or d[1] % unit:
+        raise AssertionError(f"expected a lattice vector, got {d} / {unit}")
+    return (d[0] // unit, d[1] // unit)
 
 
 def _primitive_slope(vec: tuple[int, int]) -> Slope:
@@ -649,13 +526,12 @@ def neighborhood_boundary(
         raise ValueError(f"labels {sorted(labels - valid)} not on this piece")
     if ctx is None:
         ctx = RealizationContext(objs)
-    prime = _next_prime_above(2 * ctx.norm)
     last: Exception | None = None
     for attempt in range(5):
-        walk = _Walk(objs, labels, ctx, anchor_shift=Fraction(attempt, prime))
+        walk = _Walk(objs, labels, ctx, anchor_shift=Fraction(attempt, ctx.prime))
         try:
             walk.build()
-        except _RetryWalk as exc:
+        except _AnchorHit as exc:
             last = exc
             continue
         return walk.trace()

@@ -34,7 +34,7 @@ from .orbifold import (
     torus_arc,
 )
 from .pieces import is_special_couple
-from .slopes import Slope, distance, slopes_up_to
+from .slopes import Slope, neighbors
 
 
 @dataclass(frozen=True)
@@ -586,14 +586,6 @@ def random_orthogonal_pair(
     return v0, v1
 
 
-def _step_choices(kind: PieceKind, slope: Slope, height: int) -> list[Slope]:
-    return [
-        s
-        for s in slopes_up_to(height)
-        if s != slope and distance(s, slope) == 1
-    ]
-
-
 def random_path_shadow(
     system: HandleSystem,
     rng: random.Random,
@@ -630,7 +622,7 @@ def random_path_shadow(
         else:
             choice = rng.random()
             if choice < 0.5:
-                nxt_options = _step_choices(kind, cur[i], height + 2)
+                nxt_options = neighbors(cur[i], height + 2)
                 nxt = nxt_options[rng.randrange(len(nxt_options))]
                 move_kind = (
                     MoveKind.FIRST

@@ -223,6 +223,19 @@ class TestLemmasCommands:
         assert out == ""
         assert f"{flag} " in err and "out of range" in err
 
+    def test_prs_seed_without_samples_is_rejected(self, capsys):
+        code, out, err = run(capsys, ["lemmas", "prs", "--seed", "7"])
+        assert code == 1
+        assert out == ""
+        assert "--seed" in err and "--samples" in err
+
+    def test_prs_samples_without_seed_uses_seed_zero(self, capsys):
+        argv = ["lemmas", "prs", "--samples", "10", "--height", "4"]
+        _, implicit, _ = run_json(capsys, argv)
+        _, explicit, _ = run_json(capsys, [*argv, "--seed", "0"])
+        assert implicit == explicit
+        assert implicit["seed"] == 0
+
     def test_suite_zero_samples_is_vacuous(self, capsys):
         code, report, _ = run_json(capsys, ["lemmas", "prt", "--samples", "0"])
         assert code == 0
@@ -324,6 +337,47 @@ class TestFlatsCommands:
         )
         assert code == 1
         assert "--window" in err
+
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["flats", "certify", "--n", "0"], "--n"),
+            (["flats", "certify", "--n", "-2"], "--n"),
+            (["flats", "export", "--n", "0"], "--n"),
+            (["flats", "certify", "--n", "2", "--window", "0"], "--window"),
+            (["flats", "export", "--n", "2", "--window", "-1"], "--window"),
+        ],
+    )
+    def test_flats_reject_out_of_range_input(self, capsys, argv, flag):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert f"{flag} " in err and "out of range" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flats", "certify", "--n", "4", "--window", "5"],
+            ["flats", "certify", "--n", "2", "--window", "19"],
+            ["flats", "certify", "--n", "1000000000", "--window", "1"],
+            ["flats", "export", "--n", "12", "--window", "1"],
+            ["flats", "export", "--n", "1000000000", "--window", "1"],
+        ],
+    )
+    def test_flats_reject_costly_windows(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "too costly" in err
+
+    def test_certify_budget_admits_the_gate_and_the_defaults(self):
+        for n, window in ((3, 5), (2, 18), (1, 5)):
+            points = (2 * window + 1) ** n
+            assert points * (points - 1) // 2 <= cli.CERTIFY_PAIR_BUDGET
+        points = 11**4
+        assert points * (points - 1) // 2 > cli.CERTIFY_PAIR_BUDGET
 
 
 class TestPlumbing:

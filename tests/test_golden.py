@@ -1,22 +1,36 @@
 """Golden outputs: exact bytes of seeded and exhaustive reports.
 
 Each case pins the SHA-256 of a ``--no-timestamp`` JSON report (or of a
-``check_subgraph`` report dumped with sorted keys).  A refactor of the
-drivers, samplers or graph searches must leave every hash unchanged:
-the same seed draws the same fixtures, and every witness and path comes
-out in the same order.
+``check_subgraph`` report dumped with sorted keys, or of the sorted
+``neighborhood_boundary`` components of seeded configurations).  A
+refactor of the drivers, samplers, graph searches or crossing kernels must
+leave every hash unchanged: the same seed draws the same fixtures, and
+every witness, path and boundary component comes out in the same order.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from fareyflats import cli
 from fareyflats.geodesics import Subgraph, build_ball, check_subgraph
+from fareyflats.orbifold import (
+    CORNER_LABELS,
+    TORUS_MARK,
+    DegenerateRealization,
+    PieceKind,
+    curve,
+    random_arcish,
+    random_slope,
+    random_torus_arc,
+    random_wave,
+)
+from fareyflats.ribbon import neighborhood_boundary
 from fareyflats.slopes import Slope, slopes_in_interval
 
 CLI_GOLDEN = {
@@ -83,3 +97,57 @@ def test_check_subgraph_report_bytes(host, drop, digest):
     sub = Subgraph.induced(_interval(drop), host)
     report = check_subgraph(sub, host)
     assert _sha(json.dumps(report, sort_keys=True)) == digest
+
+
+def _ribbon_configurations(count=48, height=3):
+    """Seeded unions on both pieces; every third sphere union starts with
+    two waves, and each boundary label is welded in with probability 1/3."""
+    rng = random.Random(20131)
+    configs = []
+    for k in range(count):
+        torus = k % 2 == 0
+        objs = []
+        if not torus and k % 3 == 1:
+            objs = [random_wave(rng, height), random_wave(rng, height)]
+        size = 1 + rng.randrange(3)
+        while len(objs) < size:
+            if torus:
+                obj = (
+                    random_torus_arc(rng, height)
+                    if rng.randrange(2)
+                    else curve(PieceKind.ONE_HOLED_TORUS, random_slope(rng, height))
+                )
+            else:
+                obj = random_arcish(rng, height)
+            if obj not in objs:
+                objs.append(obj)
+        if len(set(objs)) != len(objs):
+            objs = objs[:1]
+        valid = (TORUS_MARK,) if torus else CORNER_LABELS
+        labels = [label for label in valid if rng.randrange(3) == 0]
+        configs.append((objs, labels))
+    return configs
+
+
+RIBBON_GOLDEN = "fb33b42e51b25fed9463defc1409a48409a2795242e131643e46f8001f7f4d6a"
+
+
+def test_neighborhood_boundary_components():
+    rows = []
+    for objs, labels in _ribbon_configurations():
+        try:
+            comps = neighborhood_boundary(objs, labels)
+        except DegenerateRealization:
+            rows.append([[str(o) for o in objs], labels, "degenerate"])
+            continue
+        rows.append(
+            [
+                [str(o) for o in objs],
+                labels,
+                [
+                    [c.kind, str(c.object), list(c.labels), c.dart_count]
+                    for c in comps
+                ],
+            ]
+        )
+    assert _sha(json.dumps(rows)) == RIBBON_GOLDEN

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fareyflats.orbifold import (
     Configuration,
@@ -12,9 +14,11 @@ from fareyflats.orbifold import (
     SegmentRep,
     _strict_between_count,
     corner_lift,
+    cover_segments,
     curve,
     endpoint_linking,
     intersection_number,
+    line_families,
     literal_intersection_number,
     partner_label,
     seam,
@@ -23,7 +27,7 @@ from fareyflats.orbifold import (
     torus_arc,
     wave,
 )
-from fareyflats.slopes import Slope, det, slopes_up_to
+from fareyflats.slopes import Slope, apply_unimodular, det, slopes_up_to
 
 T = PieceKind.ONE_HOLED_TORUS
 S = PieceKind.FOUR_HOLED_SPHERE
@@ -306,6 +310,92 @@ def test_strict_between_count():
     assert _strict_between_count(f(7, 3), f(-1, 3)) == 3
 
 
+def test_line_families_carry_the_cover_segments():
+    for piece in (T, S):
+        for slope in slopes_up_to(4):
+            objs = [curve(piece, slope), seam(piece, slope)]
+            ctx = RealizationContext(objs)
+            for i, obj in enumerate(objs):
+                families = line_families(obj, ctx, i)
+                for seg in cover_segments(obj, ctx, i):
+                    for pt in (seg.a, seg.b):
+                        assert any(
+                            (c[0] * pt[0] + c[1] * pt[1] - off).denominator == 1
+                            for c, off in families
+                        )
+    w = wave(seam(S, Slope(0, 1)), "10")
+    with pytest.raises(ValueError):
+        line_families(w, RealizationContext([w]), 0)
+
+
 def test_corner_lift_round_trip():
     assert corner_lift("10") == (Fraction(1, 2), Fraction(0))
     assert corner_lift("01") == (Fraction(0), Fraction(1, 2))
+
+
+@st.composite
+def piece_objects(draw, piece, kind, height=8):
+    """A curve, seam (torus arc on the torus) or wave of height <= height."""
+    slope = draw(st.sampled_from(slopes_up_to(height)))
+    if kind == "curve":
+        return curve(piece, slope)
+    if piece is T:
+        return torus_arc(slope)
+    s = seam(S, slope, seam_pairs(slope)[draw(st.integers(0, 1))])
+    return s if kind == "seam" else wave(s, s.endpoints[draw(st.integers(0, 1))])
+
+
+KIND_PAIRS = [
+    (piece, a, b)
+    for piece, kinds in ((T, ("curve", "seam")), (S, ("curve", "seam", "wave")))
+    for a, b in itertools.combinations_with_replacement(kinds, 2)
+]
+KIND_PAIR_IDS = [f"{piece.value}-{a}-{b}" for piece, a, b in KIND_PAIRS]
+
+
+class TestKernelProperties:
+    """The integer kernel against the literal translate counter."""
+
+    @pytest.mark.parametrize("piece, kx, ky", KIND_PAIRS, ids=KIND_PAIR_IDS)
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_matches_literal_counter(self, piece, kx, ky, data):
+        x = data.draw(piece_objects(piece, kx))
+        y = data.draw(piece_objects(piece, ky))
+        assert inum(x, y) == literal_intersection_number(x, y)
+
+    @pytest.mark.parametrize("piece, kx, ky", KIND_PAIRS, ids=KIND_PAIR_IDS)
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data(), shrink=st.integers(2, 9))
+    def test_matches_literal_counter_on_shrunk_offsets(
+        self, piece, kx, ky, data, shrink
+    ):
+        x = data.draw(piece_objects(piece, kx))
+        y = data.draw(piece_objects(piece, ky))
+        assume(x != y)
+        ctx = RealizationContext((x, y)).scaled(shrink)
+        assert inum(x, y, ctx) == literal_intersection_number(x, y, ctx)
+        assert inum(x, y, ctx) == inum(x, y)
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Short products of [[k, 1], [1, 0]] (determinant -1), generating GL2(Z)."""
+    m0, m1, m2, m3 = 1, 0, 0, 1
+    for k in draw(st.lists(st.integers(-3, 3), max_size=3)):
+        m0, m1, m2, m3 = m0 * k + m1, m0, m2 * k + m3, m2
+    return (m0, m1, m2, m3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(slopes_up_to(8)),
+    st.sampled_from(slopes_up_to(8)),
+    unimodular_matrices(),
+    st.sampled_from((T, S)),
+)
+def test_curve_counts_invariant_under_unimodular_maps(a, b, m, piece):
+    ma, mb = apply_unimodular(m, a), apply_unimodular(m, b)
+    assert inum(curve(piece, ma), curve(piece, mb)) == inum(
+        curve(piece, a), curve(piece, b)
+    )
