@@ -28,6 +28,7 @@ import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from math import gcd
 from pathlib import Path
 from typing import Sequence
 
@@ -58,6 +59,19 @@ GRAPH_VERTEX_BUDGET = 200_000
 # at window 5 has over 10^8).  ``flats export`` draws the window's grid and
 # refuses more than GRAPH_VERTEX_BUDGET points.
 CERTIFY_PAIR_BUDGET = 1_000_000
+
+# The exhaustive ``lemmas int``, ``lk`` and ``prs`` sweeps visit every pair of
+# objects built from the n slopes of height <= H: int pairs n arcs (torus)
+# and 2n seams (sphere) with each other and with the n curves, lk pairs the
+# n torus arcs, and prs pairs the 2n seams with n curves, 2n seams and 4n
+# waves.  A height whose pair count exceeds this budget is refused (int
+# admits H <= 18, lk H <= 33, prs H <= 14; int costs about 65 us a pair).
+SWEEP_PAIR_BUDGET = 1_000_000
+SWEEP_PAIRS = {
+    "int": lambda n: n * (n - 1) // 2 + n * n + n * (2 * n - 1) + 2 * n * n,
+    "lk": lambda n: n * (n - 1) // 2,
+    "prs": lambda n: 14 * n * n,
+}
 
 
 class CliError(Exception):
@@ -105,6 +119,25 @@ def _at_least(flag: str, value: int, low: int) -> int:
     if value < low:
         raise CliError(f"{flag} {value} is out of range: it must be >= {low}")
     return value
+
+
+def _sweep_height(command: str, height: int) -> int:
+    """The height, once the sweep's pair count is known to fit the budget.
+
+    The pool gains 4*phi(k) slopes at height k, so its size is summed up
+    from height 1 and the count stops at the first height past the budget,
+    whatever height was asked.
+    """
+    _at_least("--height", height, 1)
+    n = 0
+    for k in range(1, height + 1):
+        n += 4 * sum(1 for j in range(1, k + 1) if gcd(j, k) == 1)
+        if SWEEP_PAIRS[command](n) > SWEEP_PAIR_BUDGET:
+            raise CliError(
+                f"--height {height} is out of range: the {command} sweep "
+                f"visits more than {SWEEP_PAIR_BUDGET} pairs above height {k - 1}"
+            )
+    return height
 
 
 def _load_json(path: str) -> dict:
@@ -177,12 +210,12 @@ def _cmd_farey_check_subgraph(args) -> Result:
 
 
 def _cmd_lemmas_int(args) -> Result:
-    report = sweeps.identity_sweep(args.height)
+    report = sweeps.identity_sweep(_sweep_height("int", args.height))
     return Result(report, passed=report["pass"])
 
 
 def _cmd_lemmas_lk(args) -> Result:
-    report = sweeps.linking_sweep(args.height)
+    report = sweeps.linking_sweep(_sweep_height("lk", args.height))
     return Result(report, passed=report["pass"])
 
 
@@ -208,7 +241,7 @@ def _cmd_lemmas_prs(args) -> Result:
             "selects; without --samples, prs runs the exhaustive sweep"
         )
     report = sweeps.disjoint_projection_sweep(
-        4 if args.height is None else args.height
+        _sweep_height("prs", 4 if args.height is None else args.height)
     )
     return Result(report, passed=report["pass"])
 

@@ -1,10 +1,12 @@
 """Truncated Farey graphs, balls, geodesic enumeration, and subgraph checks.
 
-Every search here is one breadth-first search, :func:`_bfs_levels`, over a
-neighbour table ``adj[v]`` (the int-indexed :attr:`FareyGraph.adj`, a
-ladder, or the table :func:`_adjacency` builds from the edges of a ball or
-a subgraph), and :func:`_walk_back` turns its levels into every shortest
-path to a target, sorted.
+Every search here is one level-synchronous breadth-first search,
+:func:`_bfs_levels`, over a neighbour table ``adj[v]`` (the int-indexed
+:attr:`FareyGraph.adj`, a ladder, or the table :func:`_adjacency` builds
+from the edges of a ball or a subgraph), and :func:`_walk_back` turns its
+levels into every shortest path to a target, sorted.  :meth:`FareyGraph.bfs`
+hands its int-keyed levels out through :class:`Levels`, a read-only
+slope-keyed view, so no slope-keyed dict is built per search.
 
 The closed form :func:`fareyflats.slopes.distance` is the ground truth for
 lengths; :func:`bfs_distance` exists as an independent oracle computed from
@@ -21,30 +23,35 @@ higher than the higher endpoint.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .slopes import Slope, _frame, neighbors, slopes_up_to
+from .slopes import Slope, _frame, _neighbor_pairs, slopes_up_to
 
 
 def _bfs_levels(adj, source, radius: int | None = None) -> dict:
     """Breadth-first levels from source over the neighbour table adj[v].
 
+    Level-synchronous: each round scans the whole frontier in discovery
+    order and collects the next one, so the levels and the discovery order
+    (the dict's key order) are those of a first-in first-out search.
     Vertices at level radius are reached but not expanded.
     """
     level = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        v = frontier.popleft()
-        d = level[v]
-        if radius is not None and d >= radius:
-            continue
-        for w in adj[v]:
-            if w not in level:
-                level[w] = d + 1
-                frontier.append(w)
+    frontier = [source]
+    d = 0
+    while frontier and (radius is None or d < radius):
+        d += 1
+        found = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in level:
+                    level[w] = d
+                    found.append(w)
+        frontier = found
     return level
 
 
@@ -77,27 +84,70 @@ def _adjacency(vertices, edges) -> dict[Slope, list[Slope]]:
     return table
 
 
+class Levels(Mapping):
+    """Read-only slope-keyed view of int-keyed breadth-first levels.
+
+    view[s] is the level of s's vertex index; iteration follows the
+    discovery order.  No slope-keyed dict is built, so a caller pays only
+    for what it reads.
+    """
+
+    __slots__ = ("_level", "_by_pair", "_vertices")
+
+    def __init__(self, level: dict[int, int], graph: "FareyGraph"):
+        self._level = level
+        self._by_pair = graph._by_pair
+        self._vertices = graph.vertices
+
+    def __getitem__(self, s: Slope) -> int:
+        try:
+            return self._level[self._by_pair[s.p, s.q]]
+        except (AttributeError, KeyError):
+            raise KeyError(s) from None
+
+    def __contains__(self, s) -> bool:
+        try:
+            return self._by_pair[s.p, s.q] in self._level
+        except (AttributeError, KeyError):
+            return False
+
+    def __iter__(self):
+        vertices = self._vertices
+        return (vertices[i] for i in self._level)
+
+    def __len__(self) -> int:
+        return len(self._level)
+
+
 class FareyGraph:
-    """The induced graph on all slopes of height <= height_bound."""
+    """The induced graph on all slopes of height <= height_bound.
+
+    adj[i] lists the indices of vertex i's neighbours in increasing order,
+    which is the (height, q, p) order of the slopes themselves.  Vertex
+    indices are looked up by slope in index, and by the integer pair
+    (p, q) in _by_pair, which hashes without calling into Slope.
+    """
 
     def __init__(self, height_bound: int):
-        self.height_bound = height_bound
-        self.vertices: tuple[Slope, ...] = slopes_up_to(height_bound)
-        self.index: dict[Slope, int] = {v: i for i, v in enumerate(self.vertices)}
+        self.height_bound = h = height_bound
+        self.vertices: tuple[Slope, ...] = slopes_up_to(h)
+        self.index: dict[Slope, int] = dict(
+            zip(self.vertices, range(len(self.vertices)))
+        )
+        self._by_pair = {(v.p, v.q): i for i, v in enumerate(self.vertices)}
         self.adj: list[tuple[int, ...]] = [
-            tuple(self.index[w] for w in neighbors(v, height_bound))
+            tuple(sorted(self._by_pair[w] for w in _neighbor_pairs(v.p, v.q, h)))
             for v in self.vertices
         ]
 
     def __contains__(self, s: Slope) -> bool:
         return s in self.index
 
-    def bfs(self, source: Slope, radius: int | None = None) -> dict[Slope, int]:
+    def bfs(self, source: Slope, radius: int | None = None) -> Levels:
         """Distances from source within the truncation (optionally capped)."""
         if source not in self.index:
             raise ValueError(f"{source} exceeds height bound {self.height_bound}")
-        level = _bfs_levels(self.adj, self.index[source], radius)
-        return {self.vertices[i]: d for i, d in level.items()}
+        return Levels(_bfs_levels(self.adj, self.index[source], radius), self)
 
 
 @lru_cache(maxsize=8)

@@ -295,16 +295,10 @@ class DegenerateRealization(Exception):
 
 @dataclass(frozen=True)
 class SegmentRep:
-    """One plane segment of a realization, with its cone-point passages.
-
-    corners lists (parameter, point, label) for every cone-point lift the
-    closed-up segment passes; parameters 0 and 1 denote the same downstairs
-    point for period segments.
-    """
+    """One plane segment of a realization, from a to b."""
 
     a: Point
     b: Point
-    corners: tuple[tuple[Fraction, Point, str], ...] = ()
 
     def direction(self) -> Point:
         return (self.b[0] - self.a[0], self.b[1] - self.a[1])
@@ -322,13 +316,47 @@ def _frame(slope: Slope) -> tuple[int, int, int, int]:
     return slope.p, slope.q, x0, y0
 
 
+# Miller-Rabin with the thirteen prime bases up to 41 is deterministic
+# below this bound (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_SEARCH_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(k: int) -> bool:
+    """Deterministic Miller-Rabin test for 0 <= k < PRIME_SEARCH_LIMIT."""
+    for b in _PRIME_BASES:
+        if k % b == 0:
+            return k == b
+    if k < 2:
+        return False
+    d, s = k - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, k)
+        if x == 1 or x == k - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % k
+            if x == k - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @lru_cache(maxsize=256)
 def _next_prime_above(n: int) -> int:
+    """The least prime > n; refused once the search passes the test's bound."""
     k = max(n + 1, 2)
-    while True:
-        if all(k % d for d in range(2, int(math.isqrt(k)) + 1)):
+    while k < PRIME_SEARCH_LIMIT:
+        if _is_prime(k):
             return k
         k += 1
+    raise ValueError(
+        f"no prime above {n} below {PRIME_SEARCH_LIMIT}, where the prime "
+        f"test stops being exact; the slopes are too large"
+    )
 
 
 class RealizationContext:
@@ -462,17 +490,9 @@ def cover_segments(
         (Fraction(x, L) + move * q, Fraction(y, L) + move * p)
         for x, y in _fund(obj, ctx, index)
     ]
-    ends = _fund_ends(obj)
-    out = []
-    for s in _SIGNS[obj.piece]:
-        a, b = ((s * x, s * y) for x, y in fund)
-        corners = tuple(
-            (Fraction(t), pt, label)
-            for t, pt, label in ((0, a, ends[0]), (1, b, ends[1]))
-            if label is not None
-        )
-        out.append(SegmentRep(a=a, b=b, corners=corners))
-    return tuple(out)
+    return tuple(
+        SegmentRep(*((s * x, s * y) for x, y in fund)) for s in _SIGNS[obj.piece]
+    )
 
 
 def line_families(
@@ -708,35 +728,6 @@ def _literal_count(
     return total
 
 
-def _corner_markup(segments: Sequence[SegmentRep], piece: PieceKind):
-    """Recompute cone-point passage metadata for custom segments."""
-    out = []
-    for seg in segments:
-        d = seg.direction()
-        corners: list[tuple[Fraction, Point, str]] = []
-        scale = 1 if piece is PieceKind.ONE_HOLED_TORUS else 2
-        # Solve seg.a + t*d on the (half-)integer lattice by scanning the
-        # x-range (or y-range for vertical segments) of candidate values.
-        if d[0] != 0:
-            lo, hi = sorted((scale * seg.a[0], scale * seg.b[0]))
-            for k in range(math.ceil(lo), math.floor(hi) + 1):
-                t = (Fraction(k, scale) - seg.a[0]) / d[0]
-                pt = _pt_add(seg.a, _pt_scale(t, d))
-                label = _is_cone_point(pt, piece)
-                if label is not None and 0 <= t <= 1:
-                    corners.append((t, pt, label))
-        else:
-            lo, hi = sorted((scale * seg.a[1], scale * seg.b[1]))
-            for k in range(math.ceil(lo), math.floor(hi) + 1):
-                t = (Fraction(k, scale) - seg.a[1]) / d[1]
-                pt = _pt_add(seg.a, _pt_scale(t, d))
-                label = _is_cone_point(pt, piece)
-                if label is not None and 0 <= t <= 1:
-                    corners.append((t, pt, label))
-        out.append(SegmentRep(a=seg.a, b=seg.b, corners=tuple(sorted(corners))))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public counting interface
 
@@ -824,8 +815,6 @@ def literal_intersection_number(
                 cover_segments(y, ctx, iy, anchor_shift=Fraction(attempt, p2))
             )
         )
-        xs = _corner_markup(xs, x.piece)
-        ys = _corner_markup(ys, y.piece)
         try:
             raw = _literal_count(x, xs, y, ys, x.piece, margin=margin)
             break

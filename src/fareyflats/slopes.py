@@ -33,6 +33,8 @@ class Slope:
 
     def __post_init__(self) -> None:
         p, q = self.p, self.q
+        if q > 0 and gcd(p, q) == 1:
+            return  # already canonical
         if q == 0:
             if p == 0:
                 raise ValueError("slope 0/0 is not defined")
@@ -124,52 +126,48 @@ def _extgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def _neighbor_pairs(p: int, q: int, height: int):
+    """The canonical (r, s) of every neighbour of p/q of height <= height.
+
+    Solves p*s - q*r = 1: with p*x + q*y = 1 the solutions are
+    (r, s) = (-y + t*p, x + t*q), and t runs over the window that keeps |r|
+    and |s| within the height.  A solution of p*s - q*r = -1 is the
+    negative of one of these, so bringing each to s >= 0 lists every
+    neighbour exactly once, in increasing t.
+    """
+    _, x, y = _extgcd(p, q)
+    r0, s0 = -y, x
+    lo = hi = None
+    for base, step in ((r0, p), (s0, q)):
+        if step == 0:
+            if abs(base) > height:
+                return
+            continue
+        # -height <= base + t*step <= height, exact integer bounds
+        if step > 0:
+            t_lo, t_hi = -((height + base) // step), (height - base) // step
+        else:
+            t_lo, t_hi = -((height - base) // -step), (height + base) // -step
+        lo = t_lo if lo is None else max(lo, t_lo)
+        hi = t_hi if hi is None else min(hi, t_hi)
+    for t in range(lo, hi + 1):
+        r, s = r0 + t * p, s0 + t * q
+        yield (r, s) if s > 0 or (s == 0 and r > 0) else (-r, -s)
+
+
 def neighbors(a: Slope, height: int) -> list[Slope]:
     """All slopes adjacent to a with height <= the bound, sorted.
 
-    Solves p*s - q*r = +-1 exactly; both solution families are enumerated
-    over the height window.  The bound must be at least the height of a.
+    The bound must be at least the height of a.
     """
     if height < a.height:
         raise ValueError(
             f"height bound {height} is below the height of {a} ({a.height})"
         )
-    p, q = a.p, a.q
-    found: set[Slope] = set()
-    _, x, y = _extgcd(p, q)
-    # p*x + q*y = 1, so (r0, s0) = (-eps*y, eps*x) solves p*s - q*r = eps.
-    for eps in (1, -1):
-        r0, s0 = -eps * y, eps * x
-        # General solution (r, s) = (r0 + t*p, s0 + t*q); constrain t so
-        # that |r| and |s| stay within the height window.
-        lo: int | None = None
-        hi: int | None = None
-        empty = False
-        for base, step in ((r0, p), (s0, q)):
-            if step == 0:
-                if abs(base) > height:
-                    empty = True
-                    break
-                continue
-            # -height <= base + t*step <= height, exact integer bounds
-            if step > 0:
-                t_lo = -((height + base) // step)
-                t_hi = (height - base) // step
-            else:
-                t_lo = -((height - base) // -step)
-                t_hi = (height + base) // -step
-            lo = t_lo if lo is None else max(lo, t_lo)
-            hi = t_hi if hi is None else min(hi, t_hi)
-        if empty or lo is None or hi is None:
-            continue
-        for t in range(lo, hi + 1):
-            r, s = r0 + t * p, s0 + t * q
-            if s < 0 or (s == 0 and r < 0):
-                r, s = -r, -s
-            cand = Slope(r, s)
-            if cand.height <= height:
-                found.add(cand)
-    return sorted(found, key=Slope.sort_key)
+    return sorted(
+        (Slope(r, s) for r, s in _neighbor_pairs(a.p, a.q, height)),
+        key=Slope.sort_key,
+    )
 
 
 @lru_cache(maxsize=16)
@@ -214,9 +212,9 @@ def distance(a: Slope, b: Slope) -> int:
     D_k = min(D_{k-1} + 1, D_{k-2} + a_k).  The cost is O(log q) steps of
     Euclid's algorithm, with no state kept between calls.
     """
-    if a == b:
-        return 0
     _, _, p, q = _frame(b, a)
+    if q == 0:  # det(b, a) = 0: reduced slopes, so a == b
+        return 0
     before, d = 0, 1
     p, q = q, p % q
     while q:

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from fareyflats import cli
+from fareyflats import cli, sweeps
 from fareyflats.geodesics import Subgraph, build_ball
+from fareyflats.orbifold import PieceKind
 from fareyflats.shadows import projection_gap_scenario
-from fareyflats.slopes import Slope, slopes_in_interval
+from fareyflats.slopes import Slope, slopes_in_interval, slopes_up_to
 
 
 def run(capsys, argv):
@@ -158,10 +159,47 @@ class TestFareyCommands:
 
 
 class TestLemmasCommands:
-    def test_int_height_zero_vacuous(self, capsys):
-        code, report, _ = run_json(capsys, ["lemmas", "int", "--height", "0"])
-        assert code == 0
-        assert report["pass"] is True
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lemmas", "int", "--height", "0"],
+            ["lemmas", "lk", "--height", "-2"],
+            ["lemmas", "prs", "--height", "0"],
+            ["lemmas", "int", "--height", "19"],
+            ["lemmas", "int", "--height", "40"],
+            ["lemmas", "lk", "--height", "34"],
+            ["lemmas", "prs", "--height", "15"],
+            ["lemmas", "prs", "--height", "1000000000000"],
+        ],
+    )
+    def test_sweep_rejects_vacuous_or_costly_heights(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "fareyflats: error: --height " in err and "out of range" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, largest", [("int", 18), ("lk", 33), ("prs", 14)])
+    def test_sweep_budget_admits_the_defaults_and_the_largest_heights(
+        self, command, largest
+    ):
+        pairs = cli.SWEEP_PAIRS[command]
+        assert pairs(len(slopes_up_to(largest))) <= cli.SWEEP_PAIR_BUDGET
+        assert pairs(len(slopes_up_to(largest + 1))) > cli.SWEEP_PAIR_BUDGET
+        for height in (1, {"int": 6, "lk": 8, "prs": 4}[command], largest):
+            assert cli._sweep_height(command, height) == height
+
+    @pytest.mark.parametrize("height", [1, 2, 3, 4])
+    def test_sweep_pair_counts_match_the_sweeps(self, height):
+        n = len(slopes_up_to(height))
+        tallies = sweeps.identity_sweep(height)["tallies"]
+        assert cli.SWEEP_PAIRS["int"](n) == sum(
+            count for tally in tallies.values() for count in tally.values()
+        )
+        assert cli.SWEEP_PAIRS["lk"](n) == sweeps.linking_sweep(height)["checked"]
+        # prs pairs each of the 2n sphere seams with n curves, 2n seams, 4n waves
+        assert len(sweeps._all_seams(PieceKind.FOUR_HOLED_SPHERE, height)) == 2 * n
+        assert cli.SWEEP_PAIRS["prs"](n) == 2 * n * 7 * n
 
     def test_lk(self, capsys):
         code, report, _ = run_json(capsys, ["lemmas", "lk", "--height", "3"])

@@ -197,6 +197,32 @@ class TestCertifyFlat:
         with pytest.raises(ValueError):
             certify_flat(default_embedding(1), window=40)
 
+    def test_pair_witness_is_the_first_failing_pair(self, monkeypatch):
+        # With the factor check bypassed, the pair sweep itself must stop at
+        # the first non-isometric pair in lattice order, as a plain loop does.
+        monkeypatch.setattr(GeodesicLine, "check_window", lambda self: (True, None))
+        ray = GeodesicLine(tuple(Slope(k, 1) for k in range(-5, 6)), base_index=5)
+        emb = LatticeEmbedding((default_embedding(1).lines[0], ray))
+        window = 3
+        report = certify_flat(emb, window)
+        points = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+        pairs = 0
+        for i, x in enumerate(points):
+            for y in points[i + 1 :]:
+                pairs += 1
+                want = sum(abs(s - t) for s, t in zip(x, y))
+                got = product_distance(emb.map_point(x), emb.map_point(y))
+                if got != want:
+                    break
+            else:
+                continue
+            break
+        assert not report["passed"]
+        assert report["pairs_checked"] == pairs
+        assert report["witness"] == {
+            "x": list(x), "y": list(y), "expected": want, "actual": got
+        }
+
 
 class TestSubproduct:
     def test_factor_subgraph_is_totally_geodesic(self):

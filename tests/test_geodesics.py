@@ -1,3 +1,4 @@
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from fareyflats.slopes import (
     Slope,
     adjacent,
     distance,
+    neighbors,
     slopes_in_interval,
     slopes_up_to,
 )
@@ -227,3 +229,48 @@ def test_graph_adjacency_is_symmetric():
     for i, nbrs in enumerate(graph.adj):
         for j in nbrs:
             assert i in graph.adj[j]
+
+
+def _plain_bfs(source, height, radius):
+    """Levels by a dict-keyed search over slopes.neighbors, capped at radius."""
+    pool = slopes_up_to(height)
+    adj = {v: neighbors(v, height) for v in pool}
+    dist = {source: 0}
+    frontier = deque([source])
+    while frontier:
+        v = frontier.popleft()
+        if radius is not None and dist[v] >= radius:
+            continue
+        for w in adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                frontier.append(w)
+    return dist
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    height=st.integers(1, 20),
+    pick=st.integers(0, 10**6),
+    radius=st.one_of(st.none(), st.integers(0, 6)),
+)
+def test_bfs_view_matches_plain_search(height, pick, radius):
+    graph = get_graph(height)
+    source = graph.vertices[pick % len(graph.vertices)]
+    view = graph.bfs(source, radius)
+    want = _plain_bfs(source, height, radius)
+    assert view == want and want == view
+    assert len(view) == len(want)
+    assert list(view) == list(want)  # discovery order
+    assert list(view.items()) == list(want.items())
+    for v in graph.vertices:
+        assert (v in view) == (v in want)
+        assert view.get(v) == want.get(v)
+        if v in want:
+            assert view[v] == want[v]
+        else:
+            assert radius is not None and distance(source, v) > radius
+            with pytest.raises(KeyError):
+                view[v]
+    assert Slope(1, height + 1) not in view
+    assert view.get(Slope(1, height + 1), -1) == -1

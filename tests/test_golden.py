@@ -1,8 +1,10 @@
 """Golden outputs: exact bytes of seeded and exhaustive reports.
 
 Each case pins the SHA-256 of a ``--no-timestamp`` JSON report (or of a
-``check_subgraph`` report dumped with sorted keys, or of the sorted
-``neighborhood_boundary`` components of seeded configurations).  A
+``check_subgraph``, ``certify_flat`` or ``subproduct_total_geodesy`` report
+dumped with sorted keys, of the sorted ``neighborhood_boundary``
+components of seeded configurations, of ``FareyGraph`` neighbour tables,
+or of seeded ``FareyGraph.bfs`` levels with their discovery order).  A
 refactor of the drivers, samplers, graph searches or crossing kernels must
 leave every hash unchanged: the same seed draws the same fixtures, and
 every witness, path and boundary component comes out in the same order.
@@ -18,7 +20,8 @@ from fractions import Fraction
 import pytest
 
 from fareyflats import cli
-from fareyflats.geodesics import Subgraph, build_ball, check_subgraph
+from fareyflats.flats import certify_flat, default_embedding, subproduct_total_geodesy
+from fareyflats.geodesics import FareyGraph, Subgraph, build_ball, check_subgraph
 from fareyflats.orbifold import (
     CORNER_LABELS,
     TORUS_MARK,
@@ -151,3 +154,109 @@ def test_neighborhood_boundary_components():
             ]
         )
     assert _sha(json.dumps(rows)) == RIBBON_GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# graph tables, searches and flat certificates
+
+
+def _graph_adjacency_rows():
+    return [[list(nbrs) for nbrs in FareyGraph(h).adj] for h in range(1, 41)]
+
+
+ADJACENCY_GOLDEN = "f74f306ede1ea30fe7c3030d46c83b6682b7cd15b8d443194b060ff45d773da4"
+
+
+def test_farey_graph_adjacency_tables():
+    assert _sha(json.dumps(_graph_adjacency_rows())) == ADJACENCY_GOLDEN
+
+
+def _bfs_rows(height):
+    """Sorted items and discovery order of seeded searches in one truncation."""
+    graph = FareyGraph(height)
+    rng = random.Random(f"bfs:{height}")
+    rows = []
+    for source in rng.sample(graph.vertices, 6):
+        for radius in (None, 1, 3):
+            found = graph.bfs(source, radius)
+            rows.append(
+                [
+                    str(source),
+                    radius,
+                    sorted([*s.sort_key(), d] for s, d in found.items()),
+                    [str(s) for s in found],
+                ]
+            )
+    return rows
+
+
+BFS_GOLDEN = {
+    12: "9b5b0f314101fa7c80e45a7a883c3c8b8226b3e8ed6edc64620147954acd43a0",
+    32: "e5395681d01bc7255595323aded1ae6146ec2dbae55bd7ad107e854ee721c905",
+}
+
+
+@pytest.mark.parametrize("height", sorted(BFS_GOLDEN))
+def test_farey_graph_search_levels(height):
+    assert _sha(json.dumps(_bfs_rows(height))) == BFS_GOLDEN[height]
+
+
+CERTIFY_GOLDEN = {
+    (1, 3):
+        "8df70407fa30b7d9db15b446ebce5d5972e97205b4c015749109cd56bbcc06d0",
+    (1, 4):
+        "2333d9ad010347b9e8acf960f3e1726ebd001173850107a179b9bb877eb7497c",
+    (1, 5):
+        "a496101220ae5199528d7961d0ed9cca23aff6e0a568846b43d4b513fc8460be",
+    (2, 3):
+        "aa950f5addc5983ec3f10b329011cedb0be6edbe0b07979aa4befe8d74fbe620",
+    (2, 4):
+        "5b9e32e132f74adc61498fce64cb4e0f1ee8ebdfd9c9bbb25a05f096040ce2c6",
+    (2, 5):
+        "788ea99ec6de45d6b205ad016c2cb28973266fad0888a3a47f0826e55d10afd3",
+    (3, 3):
+        "6e675bf4e9b68ac56806f643133849e3b0584737186b37a50b691ad318d66c65",
+    (3, 4):
+        "c8088e4f5c7607df3134bc8e2fcc9aa132773b216afa364317de9669bf38e195",
+    (3, 5):
+        "b56065907000bad417acc54aafbd1c8a716ada23d1d68e2f4c8e3587130ec04e",
+}
+
+
+@pytest.mark.parametrize(
+    "n, window", sorted(CERTIFY_GOLDEN), ids=lambda v: str(v)
+)
+def test_certify_flat_report_bytes(n, window):
+    report = certify_flat(default_embedding(n), window)
+    assert _sha(json.dumps(report, sort_keys=True)) == CERTIFY_GOLDEN[(n, window)]
+
+
+SUBPRODUCT_GOLDEN = {
+    ("factor", 2, 1, 2):
+        "747c57610fd6146764f68817c8ef113f5c06cf8a3a713f212e5ca4fe82cc50f7",
+    ("factor", 2, 1, 3):
+        "4654937fc5bc8577a8feb9696ad008e30082da416a96ebbf6f974d9fa9f8d931",
+    ("factor", 3, 1, 2):
+        "808e97537d8400c88bc8e91c1eef008fff32d8d643c02a66205f22478a572e79",
+    ("factor", 3, 1, 3):
+        "c8487b4586e8cdcc4100c07902ed6cb39c4bbc34ecbdd59906e07cca1045a0eb",
+    ("factor", 3, 2, 2):
+        "b4b6fc8e2db066c7ab45bfd923832a2dcdb44f1ebb81dfd21044969f5abc9b88",
+    ("diagonal", 2, 1, 2):
+        "4d8d60055f36f5b4ded73be0a5269ef71567be0a1452319d4e4aea8b07c52109",
+    ("diagonal", 2, 1, 3):
+        "25d229c54dd4ff0ddf851cfda3798bd11c7699fbdda2cf09768ab3be357d0620",
+    ("diagonal", 3, 1, 2):
+        "61d40a8a4e8414867999f0e6f695ef3500310dc7de3f56fcf93659ba4933ce4b",
+    ("diagonal", 3, 1, 3):
+        "71270fa42d3db4b1f37604886e3d799f0608201ea5223aea155e532782e17021",
+}
+
+
+@pytest.mark.parametrize(
+    "subgraph, n, k, radius", sorted(SUBPRODUCT_GOLDEN), ids=lambda v: str(v)
+)
+def test_subproduct_total_geodesy_report_bytes(subgraph, n, k, radius):
+    report = subproduct_total_geodesy(n, k, radius=radius, subgraph=subgraph)
+    digest = SUBPRODUCT_GOLDEN[(subgraph, n, k, radius)]
+    assert _sha(json.dumps(report, sort_keys=True)) == digest

@@ -1,4 +1,8 @@
+import bisect
 import itertools
+import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,12 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fareyflats.orbifold import (
+    PRIME_SEARCH_LIMIT,
     Configuration,
     DegenerateRealization,
     ObjectKind,
     PieceKind,
     RealizationContext,
     SegmentRep,
+    _next_prime_above,
     _strict_between_count,
     corner_lift,
     cover_segments,
@@ -399,3 +405,42 @@ def test_curve_counts_invariant_under_unimodular_maps(a, b, m, piece):
     assert inum(curve(piece, ma), curve(piece, mb)) == inum(
         curve(piece, a), curve(piece, b)
     )
+
+
+def _is_prime_by_trial_division(k):
+    return k >= 2 and all(k % d for d in range(2, math.isqrt(k) + 1))
+
+
+def _trial_division_prime_above(n):
+    k = n + 1
+    while not _is_prime_by_trial_division(k):
+        k += 1
+    return k
+
+
+class TestPrimeSearch:
+    def test_agrees_with_trial_division_up_to_twenty_thousand(self):
+        primes = [k for k in range(20_100) if _is_prime_by_trial_division(k)]
+        for n in range(20_001):
+            assert _next_prime_above(n) == primes[bisect.bisect_right(primes, n)], n
+
+    def test_agrees_with_trial_division_on_large_seeded_n(self):
+        rng = random.Random(2013)
+        for n in [rng.randrange(10**k, 10 ** (k + 1)) for k in range(5, 12)] + [
+            rng.randrange(10**11, 10**12) for _ in range(5)
+        ]:
+            assert _next_prime_above(n) == _trial_division_prime_above(n), n
+
+    def test_searches_past_the_exact_bound_are_refused(self):
+        assert _next_prime_above(PRIME_SEARCH_LIMIT - 10**6) < PRIME_SEARCH_LIMIT
+        with pytest.raises(ValueError, match=str(PRIME_SEARCH_LIMIT)):
+            _next_prime_above(PRIME_SEARCH_LIMIT - 1)
+
+    def test_huge_coprime_curves_count_quickly(self):
+        n = 10**9
+        start = time.perf_counter()
+        assert inum(curve(T, Slope(1, n)), curve(T, Slope(1, n + 1))) == 1
+        assert time.perf_counter() - start < 0.5
+        n = 10**13  # 2*norm is past the bound: refused, not slowly searched
+        with pytest.raises(ValueError, match=str(PRIME_SEARCH_LIMIT)):
+            inum(curve(T, Slope(1, n)), curve(T, Slope(1, n + 1)))

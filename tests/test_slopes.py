@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fareyflats import slopes
@@ -230,3 +230,44 @@ class TestDistanceProperties:
         n = 10**9
         assert distance(Slope(1, n), INFINITY) == 2
         assert distance(Slope(n + 1, n * n + n + 1), INFINITY) == 3
+
+
+INTS = st.integers(-(10**12), 10**12)
+NONZERO = INTS.filter(bool)
+
+
+class TestCanonicalFormProperties:
+    @given(BIG)
+    def test_parse_round_trip(self, s):
+        assert Slope.parse(str(s)) == s
+
+    @given(INTS, INTS, NONZERO)
+    def test_common_factors_cancel(self, p, q, k):
+        assume((p, q) != (0, 0))
+        s = Slope(p, q)
+        assert Slope(k * p, k * q) == s
+        assert Slope(s.p, s.q) == s  # idempotent: equality is field equality
+        assert s.q > 0 or (s.p, s.q) == (1, 0)
+
+    @given(NONZERO)
+    def test_every_vertical_vector_is_infinity(self, p):
+        s = Slope(p, 0)
+        assert s == INFINITY and (s.p, s.q) == (1, 0) and str(s) == "1/0"
+
+    @given(
+        st.one_of(
+            st.text(st.characters(blacklist_characters="/")),
+            st.lists(st.text(), min_size=3).map("/".join),
+            st.tuples(
+                st.text(st.characters(whitelist_categories=("L",)), min_size=1),
+                st.integers(),
+            ).map(lambda t: f"{t[0]}/{t[1]}"),
+            st.tuples(st.integers(), st.sampled_from(["", "x", "1.5", "/"])).map(
+                lambda t: f"{t[0]}/{t[1]}"
+            ),
+            st.sampled_from(["0/0", "-0/0", " 0 / 0 ", "0/-0", "+0/0"]),
+        )
+    )
+    def test_parse_rejects_malformed_text(self, text):
+        with pytest.raises(ValueError):
+            Slope.parse(text)
