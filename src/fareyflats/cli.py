@@ -50,8 +50,9 @@ from .slopes import Slope, distance
 ENV_OUTPUT_DIR = "FAREYFLATS_OUTPUT_DIR"
 
 # The truncation at height H has at most 1 + H*(2H + 1) vertices (1/0 and
-# every p/q with |p| <= H, 1 <= q <= H).  Commands that build one refuse a
-# height whose bound exceeds this budget (H = 315 is the largest accepted).
+# every p/q with |p| <= H, 1 <= q <= H).  Commands that build one, and the
+# seeded suites that draw from the same slopes, refuse a height whose bound
+# exceeds this budget (H = 315 is the largest accepted).
 GRAPH_VERTEX_BUDGET = 200_000
 
 # ``flats certify`` checks every pair of the (2w + 1)^n points of its window;
@@ -166,21 +167,26 @@ def _cmd_farey_geodesics(args) -> Result:
     return Result(geodesics(a, b, height).to_json_dict())
 
 
-def _graph_height(height: int) -> int:
-    """The height, once its truncation is known to fit the vertex budget."""
+def _bounded_height(height: int) -> int:
+    """The height, once the slopes up to it are known to fit the budget.
+
+    Graph commands build the truncation at this height and the seeded
+    suites draw from the pool of its slopes; both hold 1 + H*(2H + 1)
+    slopes at most.
+    """
     bound = 1 + height * (2 * height + 1)
     if height < 1 or bound > GRAPH_VERTEX_BUDGET:
         raise CliError(
-            f"--height {height} is out of range: the truncation must have a "
-            f"height >= 1 and at most {GRAPH_VERTEX_BUDGET} vertices"
+            f"--height {height} is out of range: it must be >= 1, with at "
+            f"most {GRAPH_VERTEX_BUDGET} slopes up to it"
         )
     return height
 
 
 def _cmd_farey_ball(args) -> Result:
     center = _slope(args.center)
-    height = _graph_height(max(args.height, center.height))
-    ball = build_ball(center, args.radius, height)
+    height = _bounded_height(max(args.height, center.height))
+    ball = build_ball(center, _at_least("--radius", args.radius, 0), height)
     return Result(ball.to_json_dict(), dot=ball.to_dot())
 
 
@@ -191,10 +197,11 @@ def _cmd_farey_check_subgraph(args) -> Result:
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad subgraph fixture: {exc}") from None
     center = _slope(args.center)
-    height = _graph_height(args.height)
+    radius = _at_least("--ball-radius", args.ball_radius, 0)
+    height = _bounded_height(args.height)
     if center.height > height:
         raise CliError("--height must cover the center")
-    host = build_ball(center, args.ball_radius, height)
+    host = build_ball(center, radius, height)
     stray = set(sub.vertices) - set(host.vertices)
     if stray:
         raise CliError(
@@ -225,7 +232,7 @@ def _suite_command(driver, default_height):
         report = driver(
             samples=_at_least("--samples", args.samples, 0),
             seed=0 if args.seed is None else args.seed,
-            height=_at_least("--height", height, 1),
+            height=_bounded_height(height),
         )
         return Result(report, passed=report["pass"])
 
@@ -292,7 +299,7 @@ def _cmd_scenario_orthogonality(args) -> Result:
         ),
     )
     count = _at_least("--count", args.count, 0)
-    height = _at_least("--height", args.height, 1)
+    height = _bounded_height(args.height)
     passes = 0
     failures = []
     for k in range(count):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import product
 from operator import add
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .orbifold import PieceKind
 from .slopes import Slope, adjacent, distance, neighbors, slopes_up_to
@@ -293,7 +293,7 @@ def certify_flat(embedding: LatticeEmbedding, window: int) -> dict:
         [[d - abs(i - j) for j, d in enumerate(row)] for i, row in enumerate(table)]
         for table in rows
     ]
-    points = list(_lattice_window(n, window))
+    points = list(product(range(-window, window + 1), repeat=n))
     pairs = 0
     witness = None
     for ai, x in enumerate(points):
@@ -326,15 +326,6 @@ def certify_flat(embedding: LatticeEmbedding, window: int) -> dict:
         "witness": witness,
         "factor_reports": factor_reports,
     }
-
-
-def _lattice_window(n: int, window: int) -> Iterable[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for rest in _lattice_window(n - 1, window):
-        for x in range(-window, window + 1):
-            yield rest + (x,)
 
 
 def subproduct_total_geodesy(
@@ -419,10 +410,10 @@ def flat_to_dot(embedding: LatticeEmbedding, window: int) -> str:
     """The window's grid graph; product edges are exactly the grid edges."""
     n = embedding.rank
     lines = ["graph flat {"]
-    for x in _lattice_window(n, window):
+    for x in product(range(-window, window + 1), repeat=n):
         label = ",".join(str(s) for s in embedding.map_point(x))
         lines.append(f'  "{_pt_name(x)}" [label="{label}"];')
-    for x in _lattice_window(n, window):
+    for x in product(range(-window, window + 1), repeat=n):
         for k in range(n):
             if x[k] + 1 <= window:
                 y = tuple(

@@ -12,7 +12,8 @@ The closed form :func:`fareyflats.slopes.distance` is the ground truth for
 lengths; :func:`bfs_distance` exists as an independent oracle computed from
 nothing but the adjacency relation inside a height truncation, so the two
 can be checked against each other.  Balls and subgraph checks also work
-inside an explicit truncation.
+inside an explicit truncation.  Each call builds the truncation it needs;
+nothing is cached between calls.
 
 Geodesic enumeration needs no truncation.  Every geodesic between two
 slopes lies in their ladder, the strip of Farey triangles crossed by the
@@ -26,7 +27,6 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable
 
 from .slopes import Slope, _frame, _neighbor_pairs, slopes_up_to
@@ -124,16 +124,13 @@ class FareyGraph:
 
     adj[i] lists the indices of vertex i's neighbours in increasing order,
     which is the (height, q, p) order of the slopes themselves.  Vertex
-    indices are looked up by slope in index, and by the integer pair
-    (p, q) in _by_pair, which hashes without calling into Slope.
+    indices are looked up by the integer pair (p, q) in _by_pair, which
+    hashes without calling into Slope.
     """
 
     def __init__(self, height_bound: int):
         self.height_bound = h = height_bound
         self.vertices: tuple[Slope, ...] = slopes_up_to(h)
-        self.index: dict[Slope, int] = dict(
-            zip(self.vertices, range(len(self.vertices)))
-        )
         self._by_pair = {(v.p, v.q): i for i, v in enumerate(self.vertices)}
         self.adj: list[tuple[int, ...]] = [
             tuple(sorted(self._by_pair[w] for w in _neighbor_pairs(v.p, v.q, h)))
@@ -141,18 +138,14 @@ class FareyGraph:
         ]
 
     def __contains__(self, s: Slope) -> bool:
-        return s in self.index
+        return (s.p, s.q) in self._by_pair
 
     def bfs(self, source: Slope, radius: int | None = None) -> Levels:
         """Distances from source within the truncation (optionally capped)."""
-        if source not in self.index:
+        i = self._by_pair.get((source.p, source.q))
+        if i is None:
             raise ValueError(f"{source} exceeds height bound {self.height_bound}")
-        return Levels(_bfs_levels(self.adj, self.index[source], radius), self)
-
-
-@lru_cache(maxsize=8)
-def get_graph(height_bound: int) -> FareyGraph:
-    return FareyGraph(height_bound)
+        return Levels(_bfs_levels(self.adj, i, radius), self)
 
 
 def bfs_distance(a: Slope, b: Slope, height_bound: int) -> int | None:
@@ -161,10 +154,10 @@ def bfs_distance(a: Slope, b: Slope, height_bound: int) -> int | None:
     Returns None when b is not reachable from a within the truncation.
     This deliberately shares no logic with slopes.distance.
     """
-    graph = get_graph(height_bound)
+    graph = FareyGraph(height_bound)
     if a not in graph or b not in graph:
         raise ValueError("both endpoints must respect the height bound")
-    return _bfs_levels(graph.adj, graph.index[a]).get(graph.index[b])
+    return graph.bfs(a).get(b)
 
 
 @dataclass(frozen=True)
@@ -287,16 +280,15 @@ class FareyBall:
 
 
 def build_ball(center: Slope, radius: int, height_bound: int) -> FareyBall:
-    graph = get_graph(height_bound)
-    if center not in graph:
-        raise ValueError(f"{center} exceeds height bound {height_bound}")
+    if radius < 0:
+        raise ValueError(f"radius {radius} is negative")
+    graph = FareyGraph(height_bound)
     dist = graph.bfs(center, radius=radius)
     verts = tuple(sorted(dist, key=Slope.sort_key))
     vset = set(verts)
     edges = set()
     for v in verts:
-        i = graph.index[v]
-        for j in graph.adj[i]:
+        for j in graph.adj[graph._by_pair[v.p, v.q]]:
             w = graph.vertices[j]
             if w in vset:
                 edges.add(frozenset((v, w)))

@@ -134,17 +134,6 @@ class PieceObject:
             if partner_label(self.slope, self.endpoints[0]) != self.over:
                 raise ValueError("wave corners must be partners for its slope")
 
-    @property
-    def seam_descriptor(self) -> "PieceObject":
-        """For a wave, the seam it doubles; identity on seams."""
-        if self.kind is ObjectKind.SEAM:
-            return self
-        if self.kind is ObjectKind.WAVE:
-            return seam(
-                self.piece, self.slope, tuple(sorted((self.endpoints[0], self.over)))
-            )
-        raise ValueError("curves have no seam descriptor")
-
     def realization_corner_labels(self) -> frozenset[str]:
         """Corner labels the canonical realization actually passes through."""
         if self.kind is ObjectKind.SEAM:
@@ -304,18 +293,6 @@ class SegmentRep:
         return (self.b[0] - self.a[0], self.b[1] - self.a[1])
 
 
-def _frame(slope: Slope) -> tuple[int, int, int, int]:
-    """(p, q, x0, y0) with p*x0 + q*y0 = 1: the slope's integer frame.
-
-    c(P) = p*P[0] - q*P[1] is constant along the slope's direction
-    w = (q, p), e(P) = y0*P[0] + x0*P[1] has e(w) = 1, and the unit point
-    u = (x0, -y0) has c(u) = 1, e(u) = 0, so P = c(P)*u + e(P)*w.
-    """
-    g, x0, y0 = _extgcd(slope.p, slope.q)
-    assert g == 1
-    return slope.p, slope.q, x0, y0
-
-
 # Miller-Rabin with the thirteen prime bases up to 41 is deterministic
 # below this bound (Sorenson and Webster, 2015).
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -437,7 +414,7 @@ def _fund(
     """
     L, q, p = ctx.scale, obj.slope.q, obj.slope.p
     if obj.kind is ObjectKind.CURVE:
-        _, _, x0, y0 = _frame(obj.slope)
+        _, x0, y0 = _extgcd(p, q)
         o = ctx.curve_shift(index)
         a = (o * x0 + shift * q, -o * y0 + shift * p)
         return a, (a[0] + L * q, a[1] + L * p)
@@ -495,24 +472,6 @@ def cover_segments(
     )
 
 
-def line_families(
-    obj: PieceObject, ctx: RealizationContext, index: int
-) -> tuple[tuple[tuple[int, int], Fraction], ...]:
-    """(functional, offset) pairs whose integer translates carry the preimage.
-
-    Only line-like objects (curves, seams, torus arcs) have them; a wave is
-    not straight downstairs and must take the segment role in a count.
-    """
-    if obj.kind is ObjectKind.WAVE:
-        raise ValueError("waves have no line family")
-    p, q = obj.slope.p, obj.slope.q
-    (ax, ay), _ = _fund(obj, ctx, index)
-    off = Fraction(p * ax - q * ay, ctx.scale)
-    if obj.kind is ObjectKind.CURVE and obj.piece is PieceKind.FOUR_HOLED_SPHERE:
-        return (((p, -q), off), ((p, -q), -off))
-    return (((p, -q), off),)
-
-
 # ---------------------------------------------------------------------------
 # crossing-event kernel
 
@@ -540,8 +499,13 @@ def _crossing_events(
 
     x_segments are (a, b, ends) in units of 1/ctx.scale (L), ends naming the
     cone point at each end or None; y_fund is y's fundamental segment, whose
-    lifts sign*y_fund + L*v make up y's preimage.  In y's frame (_frame)
-    every lift lies on a line c = sign*c(y_fund) (mod L), so a segment
+    lifts sign*y_fund + L*v make up y's preimage.
+
+    y's slope p/q has an integer frame: with p*x0 + q*y0 = 1 (extgcd),
+    c(P) = p*P[0] - q*P[1] is constant along the slope's direction
+    w = (q, p), e(P) = y0*P[0] + x0*P[1] has e(w) = 1, and the unit point
+    u = (x0, -y0) has c(u) = 1, e(u) = 0, so P = c(P)*u + e(P)*w.  In this
+    frame every lift lies on a line c = sign*c(y_fund) (mod L), so a segment
     meets those lines where c - sign*c(y_fund) is a multiple of L strictly
     inside its range, and each hit is located on the lift through it by
     its e-coordinate modulo L; a wave's lifts leave a gap on their lines,
@@ -558,7 +522,8 @@ def _crossing_events(
     y's ends, or when a crossing lands on a tip of y.
     """
     L = ctx.scale
-    p, q, x0, y0 = _frame(y_obj.slope)
+    p, q = y_obj.slope.p, y_obj.slope.q
+    _, x0, y0 = _extgcd(p, q)
     (yax, yay), (ybx, yby) = y_fund
     cy = p * yax - q * yay
     ey = y0 * yax + x0 * yay
@@ -732,10 +697,6 @@ def _literal_count(
 # public counting interface
 
 
-def _pair_context(x: PieceObject, y: PieceObject) -> RealizationContext:
-    return RealizationContext((x, y))
-
-
 def intersection_number(
     x: PieceObject,
     y: PieceObject,
@@ -754,7 +715,7 @@ def intersection_number(
     if x == y:
         return 0
     if ctx is None:
-        ctx = _pair_context(x, y)
+        ctx = RealizationContext((x, y))
     try:
         ix = ctx.objects.index(x)
         iy = ctx.objects.index(y)
@@ -785,7 +746,7 @@ def literal_intersection_number(
     if x.piece is not y.piece:
         raise ValueError("objects live on different pieces")
     if ctx is None:
-        ctx = _pair_context(x, y)
+        ctx = RealizationContext((x, y))
     ix = ctx.objects.index(x)
     iy = ctx.objects.index(y)
     if x == y and custom_x is None and custom_y is None:

@@ -12,8 +12,6 @@ from a formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .orbifold import (
     ObjectKind,
     PieceKind,
@@ -25,16 +23,6 @@ from .orbifold import (
     seam_pairs,
 )
 from .slopes import Slope
-
-
-def project_trace(objects) -> frozenset[Slope]:
-    """Deduplicated slopes of a family of objects on one piece."""
-    objs = list(objects)
-    if objs:
-        kinds = {o.piece for o in objs}
-        if len(kinds) != 1:
-            raise ValueError("trace objects must share a piece")
-    return frozenset(o.slope for o in objs)
 
 
 def common_boundaries(a: PieceObject, b: PieceObject) -> int:
@@ -118,36 +106,9 @@ def projection_identity_report(s: PieceObject, t: PieceObject) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class PieceFareyView:
-    """Adjacency in a piece's curve graph, defined by crossing numbers.
-
-    Two slopes are adjacent when their curves realize the minimal positive
-    crossing number on the piece: 1 on the one-holed torus, 2 on the
-    four-holed sphere.  The equivalence with the arithmetic condition
-    |det| = 1 is a theorem the tests verify, not an assumption made here.
-    """
-
-    piece: PieceKind
-
-    @property
-    def minimal_positive_crossing(self) -> int:
-        return 1 if self.piece is PieceKind.ONE_HOLED_TORUS else 2
-
-    def adjacent(self, u: Slope, v: Slope) -> bool:
-        if u == v:
-            return False
-        return (
-            intersection_number(curve(self.piece, u), curve(self.piece, v))
-            == self.minimal_positive_crossing
-        )
-
-
 __all__ = [
-    "PieceFareyView",
     "associated_seam",
     "common_boundaries",
     "is_special_couple",
-    "project_trace",
     "projection_identity_report",
 ]

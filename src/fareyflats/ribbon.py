@@ -93,10 +93,6 @@ class AffineMap:
 IDENTITY = AffineMap(1, (0, 0))
 
 
-def _is_closed(obj: PieceObject) -> bool:
-    return obj.kind is ObjectKind.CURVE
-
-
 @dataclass
 class _End:
     """A loose or attached end of an object's fundamental segment."""
@@ -113,7 +109,7 @@ class _End:
 def _object_ends(
     obj: PieceObject, seg: tuple[IntPoint, IntPoint], scale: int
 ) -> list[_End]:
-    if _is_closed(obj):
+    if obj.kind is ObjectKind.CURVE:
         return []
     a, b = seg
     d = _sub(b, a)
@@ -236,7 +232,7 @@ class _Walk:
                     "three strands meet at one point; the walk needs a "
                     "configuration in general position"
                 )
-            if _is_closed(obj):
+            if obj.kind is ObjectKind.CURVE:
                 if not events:
                     continue  # isolated loop, handled separately
                 w = self.dirs[idx]
@@ -397,7 +393,7 @@ class _Walk:
 
         # isolated closed loops: two parallel copies each
         for idx, obj in enumerate(self.objects):
-            if _is_closed(obj) and not self.timeline[idx]:
+            if obj.kind is ObjectKind.CURVE and not self.timeline[idx]:
                 comp = BoundaryComponent(
                     kind="curve", object=curve(self.piece, obj.slope), labels=(),
                     dart_count=0,

@@ -58,10 +58,6 @@ class HandleSystem:
     def n(self) -> int:
         return len(self.pieces)
 
-    @property
-    def multicurve_size(self) -> int:
-        return self.surface.complexity - self.n
-
     def to_json_dict(self) -> dict:
         return {
             "surface": {
@@ -433,54 +429,6 @@ def audit_projection_bound(path: PathShadow) -> dict:
         "r": path.length,
         "best": best,
         "pass": best <= path.length,
-        "evidence": "instance",
-    }
-
-
-def special_couple_chain_probe(path: PathShadow) -> dict:
-    """How many couples the edges adjacent to a special edge contribute.
-
-    For each special edge, counts the distinct curves on each neighboring
-    edge that form a special couple in the same piece, and flags the
-    contradiction case where a neighboring couple reuses the same curve.
-    Instance evidence only.
-    """
-    specials = detect_special_couples(path)
-    entries = []
-    overall = True
-    for k, piece_idx, couple in specials:
-        sides = {}
-        for label, kk in (("left", k - 1), ("right", k + 1)):
-            if not 0 <= kk < path.length:
-                continue
-            curves = set()
-            repeated = False
-            for edge, piece, other in specials:
-                if edge != kk or piece != piece_idx:
-                    continue
-                curves.add(other.curve_obj)
-                if other.curve_obj.slope == couple.curve_obj.slope:
-                    repeated = True
-            count = len(curves)
-            ok = count <= 1
-            overall = overall and ok and not repeated
-            sides[label] = {
-                "count": count,
-                "pass": ok,
-                "repeated_curve": repeated,
-            }
-        entries.append(
-            {
-                "edge": k,
-                "piece": piece_idx,
-                "seam": str(couple.seam_obj.slope),
-                "curve": str(couple.curve_obj.slope),
-                "sides": sides,
-            }
-        )
-    return {
-        "special_edges": entries,
-        "pass": overall,
         "evidence": "instance",
     }
 

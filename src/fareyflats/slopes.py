@@ -56,12 +56,6 @@ class Slope:
     def is_infinity(self) -> bool:
         return self.q == 0
 
-    def as_fraction(self) -> Fraction | None:
-        """The slope as an exact rational, or None for 1/0."""
-        if self.q == 0:
-            return None
-        return Fraction(self.p, self.q)
-
     def direction(self) -> tuple[int, int]:
         """Primitive direction vector (run, rise) = (q, p) of the slope."""
         return (self.q, self.p)

@@ -141,6 +141,20 @@ class TestFareyCommands:
             assert out == ""
             assert "--height" in err
 
+    def test_ball_rejects_negative_radius(self, capsys):
+        code, out, err = run(capsys, ["farey", "ball", "0/1", "--radius", "-3"])
+        assert code == 1 and out == ""
+        assert "--radius -3 is out of range" in err
+        code, report, _ = run_json(capsys, ["farey", "ball", "0/1", "--radius", "0"])
+        assert code == 0 and report["vertices"] == ["0/1"]
+
+    def test_check_subgraph_rejects_negative_ball_radius(self, capsys, tmp_path):
+        fixture = triangle_fixture(tmp_path)
+        argv = ["farey", "check-subgraph", fixture, "--ball-radius", "-1"]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert "--ball-radius -1 is out of range" in err
+
     def test_check_subgraph_center_above_height(self, capsys, tmp_path):
         fixture = triangle_fixture(tmp_path)
         code, _, err = run(
@@ -261,6 +275,11 @@ class TestLemmasCommands:
         assert out == ""
         assert f"{flag} " in err and "out of range" in err
 
+    @pytest.mark.parametrize("height, code", [(315, 0), (316, 1)])
+    def test_suite_height_fits_the_vertex_budget(self, capsys, height, code):
+        argv = ["lemmas", "prt", "--samples", "0", "--height", str(height)]
+        assert run(capsys, argv)[0] == code
+
     def test_prs_seed_without_samples_is_rejected(self, capsys):
         code, out, err = run(capsys, ["lemmas", "prs", "--seed", "7"])
         assert code == 1
@@ -306,6 +325,11 @@ class TestScenarioCommands:
         assert code == 1
         assert out == ""
         assert f"{flag} " in err and "out of range" in err
+
+    @pytest.mark.parametrize("height, code", [(315, 0), (316, 1)])
+    def test_orthogonality_height_fits_the_vertex_budget(self, capsys, height, code):
+        argv = ["scenario", "orthogonality", "--count", "0", "--height", str(height)]
+        assert run(capsys, argv)[0] == code
 
     def test_audit_flags_the_gap_fixture(self, capsys, tmp_path):
         fixture = gap_fixture(tmp_path)

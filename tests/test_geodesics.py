@@ -1,5 +1,6 @@
 from collections import deque
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from fareyflats.geodesics import (
     build_ball,
     check_subgraph,
     geodesics,
-    get_graph,
     is_convex,
     is_totally_geodesic,
 )
@@ -29,11 +29,12 @@ from fareyflats.slopes import (
 
 class TestOracleAgreement:
     def test_bfs_matches_closed_form_height_eight(self):
+        graph = FareyGraph(24)
         verts = slopes_up_to(8)
         for i, a in enumerate(verts):
+            level = graph.bfs(a)
             for b in verts[i + 1 :]:
-                got = bfs_distance(a, b, 24)
-                assert got == distance(a, b), (str(a), str(b))
+                assert level[b] == distance(a, b), (str(a), str(b))
 
     def test_truncations_stay_connected(self):
         # Parent chains decrease height, so truncations are connected and
@@ -90,6 +91,12 @@ class TestGeodesicEnumeration:
                     assert all(v.height <= cap for v in path)
 
 
+@cache
+def graph_at(height):
+    """One truncation per height, shared by this module's oracle searches."""
+    return FareyGraph(height)
+
+
 def truncated_geodesics(a, b, height):
     """Every shortest a-b path inside the height truncation, sorted.
 
@@ -97,7 +104,7 @@ def truncated_geodesics(a, b, height):
     from b through strictly decreasing levels.  It shares nothing with the
     ladder, which makes it the ladder's oracle.
     """
-    graph = get_graph(height)
+    graph = graph_at(height)
     level = graph.bfs(a)
     paths = []
     stack = [(b, (b,))]
@@ -106,7 +113,7 @@ def truncated_geodesics(a, b, height):
         if v == a:
             paths.append(tail[::-1])
             continue
-        for j in graph.adj[graph.index[v]]:
+        for j in graph.adj[graph._by_pair[v.p, v.q]]:
             w = graph.vertices[j]
             if level.get(w) == level[v] - 1:
                 stack.append((w, tail + (w,)))
@@ -153,6 +160,12 @@ class TestBall:
         for e in ball.edges:
             u, w = tuple(e)
             assert adjacent(u, w)
+
+    def test_negative_radius_is_refused(self):
+        with pytest.raises(ValueError, match="negative"):
+            build_ball(Slope(0, 1), -1, 5)
+        ball = build_ball(Slope(0, 1), 0, 5)
+        assert ball.vertices == (Slope(0, 1),) and not ball.edges
 
     def test_dot_output_mentions_all_vertices(self):
         ball = build_ball(Slope(0, 1), 1, 5)
@@ -255,7 +268,7 @@ def _plain_bfs(source, height, radius):
     radius=st.one_of(st.none(), st.integers(0, 6)),
 )
 def test_bfs_view_matches_plain_search(height, pick, radius):
-    graph = get_graph(height)
+    graph = graph_at(height)
     source = graph.vertices[pick % len(graph.vertices)]
     view = graph.bfs(source, radius)
     want = _plain_bfs(source, height, radius)

@@ -59,6 +59,8 @@ CLI_GOLDEN = {
         "1f590b2ff9e91b54c51fd3ca22b39166b772fd436cc1b44dbc7112b43377df74",
     ("farey", "ball", "1/2", "--radius", "2", "--height", "6"):
         "310637beb109d34b517aa4a58422f6678fdbf76a8f341ed5e909c32f54e90fc7",
+    ("flats", "export", "--n", "3", "--window", "2", "--format", "dot"):
+        "fab1523542ed9d4a44082cd680b95ac64e044f32de01c7222e3a56a3ee3351f4",
 }
 
 

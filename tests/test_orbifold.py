@@ -20,11 +20,9 @@ from fareyflats.orbifold import (
     _next_prime_above,
     _strict_between_count,
     corner_lift,
-    cover_segments,
     curve,
     endpoint_linking,
     intersection_number,
-    line_families,
     literal_intersection_number,
     partner_label,
     seam,
@@ -66,7 +64,6 @@ class TestDescriptors:
         w = wave(s, over="10")
         assert w.endpoints == ("00",)
         assert w.over == "10"
-        assert w.seam_descriptor == s
         with pytest.raises(ValueError):
             wave(s, over="11")
 
@@ -314,24 +311,6 @@ def test_strict_between_count():
     assert _strict_between_count(f(0), f(2)) == 1
     assert _strict_between_count(f(3), f(3)) == 0
     assert _strict_between_count(f(7, 3), f(-1, 3)) == 3
-
-
-def test_line_families_carry_the_cover_segments():
-    for piece in (T, S):
-        for slope in slopes_up_to(4):
-            objs = [curve(piece, slope), seam(piece, slope)]
-            ctx = RealizationContext(objs)
-            for i, obj in enumerate(objs):
-                families = line_families(obj, ctx, i)
-                for seg in cover_segments(obj, ctx, i):
-                    for pt in (seg.a, seg.b):
-                        assert any(
-                            (c[0] * pt[0] + c[1] * pt[1] - off).denominator == 1
-                            for c, off in families
-                        )
-    w = wave(seam(S, Slope(0, 1)), "10")
-    with pytest.raises(ValueError):
-        line_families(w, RealizationContext([w]), 0)
 
 
 def test_corner_lift_round_trip():

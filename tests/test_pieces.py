@@ -12,15 +12,13 @@ from fareyflats.orbifold import (
     wave,
 )
 from fareyflats.pieces import (
-    PieceFareyView,
     _corner_side_class,
     associated_seam,
     common_boundaries,
     is_special_couple,
-    project_trace,
     projection_identity_report,
 )
-from fareyflats.slopes import Slope, adjacent, det, distance, slopes_up_to
+from fareyflats.slopes import Slope, det, distance, slopes_up_to
 
 T = PieceKind.ONE_HOLED_TORUS
 S = PieceKind.FOUR_HOLED_SPHERE
@@ -33,14 +31,6 @@ class TestProjection:
         assert torus_arc(Slope(1, 2)).slope == Slope(1, 2)
         w = wave(seam(S, Slope(0, 1)), over="10")
         assert w.slope == Slope(0, 1)
-
-    def test_trace_dedup(self):
-        objs = [seam(S, Slope(0, 1)), wave(seam(S, Slope(0, 1)), over="10")]
-        assert project_trace(objs) == frozenset({Slope(0, 1)})
-
-    def test_trace_rejects_mixed_pieces(self):
-        with pytest.raises(ValueError):
-            project_trace([torus_arc(Slope(0, 1)), seam(S, Slope(0, 1))])
 
     def test_projection_distance_is_farey(self):
         assert distance(Slope(0, 1), Slope(1, 0)) == 1
@@ -132,15 +122,3 @@ class TestAssociatedSeam:
     def test_default_pair_contains_corner_00(self):
         twin = associated_seam(Slope(3, 2))
         assert "00" in twin.endpoints
-
-
-class TestPieceFareyView:
-    def test_adjacency_matches_determinant(self):
-        views = {T: PieceFareyView(T), S: PieceFareyView(S)}
-        for a, b in itertools.combinations(slopes_up_to(5), 2):
-            want = adjacent(a, b)
-            assert views[T].adjacent(a, b) == want
-            assert views[S].adjacent(a, b) == want
-
-    def test_not_self_adjacent(self):
-        assert not PieceFareyView(T).adjacent(Slope(1, 2), Slope(1, 2))

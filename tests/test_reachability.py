@@ -1,0 +1,84 @@
+"""Every public top-level name of the package is reached from outside its
+own definition.
+
+A name counts as reached when it is loaded (as a bare name or as an
+attribute) somewhere in the package, the demos, the benchmark harness or
+the acceptance gate; a load inside the name's own definition does not
+count.  The unit tests do not count either: code that only its own tests
+call reproduces nothing.  The few names kept on purpose are listed in
+ALLOWED with the reason they stay.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fareyflats"
+USERS = [
+    *sorted(PACKAGE.glob("*.py")),
+    *sorted((ROOT / "demos").glob("*.py")),
+    *sorted((ROOT / "bench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+]
+
+ALLOWED = {
+    "tightness_check": "an oracle: checks a realization is in minimal position",
+    "regenerate_default_lines": "regenerates data/geodesics.json",
+    "Configuration": "kept for the object-indexed counting engine",
+}
+
+
+def _loads(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def _reached() -> set[str]:
+    names = set()
+    for path in USERS:
+        for stmt in ast.parse(path.read_text()).body:
+            loads = _loads(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                loads.discard(stmt.name)
+            names |= loads
+    return names
+
+
+def _public_names() -> dict[str, str]:
+    """name -> module for every public top-level def, class and constant."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [
+                    t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()
+                ]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("_"):
+                    found[name] = path.stem
+    return found
+
+
+def test_every_public_name_is_reached():
+    reached = _reached()
+    unreached = sorted(
+        f"{module}.{name}"
+        for name, module in _public_names().items()
+        if name not in reached and name not in ALLOWED
+    )
+    assert unreached == []
+
+
+def test_allowlist_holds_only_unreached_names():
+    public, reached = _public_names(), _reached()
+    assert all(name in public and name not in reached for name in ALLOWED)

@@ -20,7 +20,6 @@ from fareyflats.shadows import (
     random_orthogonal_pair,
     random_path_shadow,
     shadow_in_pq,
-    special_couple_chain_probe,
 )
 from fareyflats.slopes import Slope
 
@@ -44,10 +43,8 @@ class TestHandleSystem:
     def test_counts(self):
         sys2 = two_sphere_system()
         assert sys2.n == 2
-        assert sys2.multicurve_size == 1
         sys3 = mixed_system()
         assert sys3.surface.complexity == 5
-        assert sys3.multicurve_size == 5 - 3
 
     def test_too_few_pieces(self):
         with pytest.raises(ValueError):
@@ -290,18 +287,17 @@ class TestSpecialCouples:
         path = PathShadow((v0, v1), (move,))
         assert detect_special_couples(path) == []
 
-    def test_chain_with_distinct_curves_passes(self):
-        report = special_couple_chain_probe(two_couple_chain("2/3"))
-        assert report["pass"]
-        assert len(report["special_edges"]) == 2
-        right = report["special_edges"][0]["sides"]["right"]
-        assert right == {"count": 1, "pass": True, "repeated_curve": False}
-
-    def test_repeated_curve_is_contradiction(self):
-        report = special_couple_chain_probe(two_couple_chain("2/1"))
-        assert not report["pass"]
-        right = report["special_edges"][0]["sides"]["right"]
-        assert right["repeated_curve"]
+    @pytest.mark.parametrize(
+        "gamma", ["2/3", "2/1"], ids=["distinct-curves", "repeated-curve"]
+    )
+    def test_chain_flags_both_edges(self, gamma):
+        found = detect_special_couples(two_couple_chain(gamma))
+        assert [(edge, piece) for edge, piece, _ in found] == [(0, 0), (1, 0)]
+        assert [couple.seam_obj.slope for _, _, couple in found] == [sl("0/1")] * 2
+        assert [couple.curve_obj.slope for _, _, couple in found] == [
+            sl("2/1"),
+            sl(gamma),
+        ]
 
 
 class TestAudit:
