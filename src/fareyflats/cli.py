@@ -21,6 +21,7 @@ witness), 1 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -34,7 +35,7 @@ from typing import Sequence
 
 from . import flats, sweeps
 from .flats import SurfaceDesc, certify_flat, default_embedding, flat_to_dot
-from .geodesics import Subgraph, build_ball, check_subgraph, geodesics
+from .geodesics import Subgraph, build_ball, check_subgraph, geodesic_count, geodesics
 from .orbifold import PieceKind
 from .shadows import (
     HandleSystem,
@@ -52,7 +53,8 @@ ENV_OUTPUT_DIR = "FAREYFLATS_OUTPUT_DIR"
 # The truncation at height H has at most 1 + H*(2H + 1) vertices (1/0 and
 # every p/q with |p| <= H, 1 <= q <= H).  Commands that build one, and the
 # seeded suites that draw from the same slopes, refuse a height whose bound
-# exceeds this budget (H = 315 is the largest accepted).
+# exceeds this budget (H = 315 is the largest accepted).  ``farey geodesics``
+# lists count * (length + 1) slopes, and refuses a pair that would list more.
 GRAPH_VERTEX_BUDGET = 200_000
 
 # ``flats certify`` checks every pair of the (2w + 1)^n points of its window;
@@ -161,9 +163,17 @@ def _cmd_farey_distance(args) -> Result:
 
 def _cmd_farey_geodesics(args) -> Result:
     a, b = _slope(args.a), _slope(args.b)
-    height = args.height or max(1, a.height, b.height)
-    if height < max(a.height, b.height):
+    cover = max(a.height, b.height)
+    height = cover if args.height is None else _at_least("--height", args.height, 1)
+    if height < cover:
         raise CliError("--height must cover both endpoints")
+    count = geodesic_count(a, b)
+    listed = count * (distance(a, b) + 1)
+    if listed > GRAPH_VERTEX_BUDGET:
+        raise CliError(
+            f"{a} and {b} are joined by {count} geodesics, {listed} slopes in "
+            f"all; at most {GRAPH_VERTEX_BUDGET} are listed"
+        )
     return Result(geodesics(a, b, height).to_json_dict())
 
 
@@ -490,7 +500,9 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     common = _common_flags()
     parser = _Parser(prog="fareyflats", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True)

@@ -1,12 +1,14 @@
 """Truncated Farey graphs, balls, geodesic enumeration, and subgraph checks.
 
-Every search here is one level-synchronous breadth-first search,
-:func:`_bfs_levels`, over a neighbour table ``adj[v]`` (the int-indexed
-:attr:`FareyGraph.adj`, a ladder, or the table :func:`_adjacency` builds
-from the edges of a ball or a subgraph), and :func:`_walk_back` turns its
-levels into every shortest path to a target, sorted.  :meth:`FareyGraph.bfs`
-hands its int-keyed levels out through :class:`Levels`, a read-only
-slope-keyed view, so no slope-keyed dict is built per search.
+Every search here runs on integer vertex indices: one level-synchronous
+breadth-first search, :func:`_bfs_levels`, over a neighbour table
+``adj[v]`` of ints (:attr:`FareyGraph.adj`, a ladder, or the tables a
+subgraph check builds from a ball's edges), and :func:`_walk_back`, which
+turns its levels into every shortest path to a target.  Slopes are built
+only for output: the vertices of the returned paths and witnesses.
+:meth:`FareyGraph.bfs` hands its int-keyed levels out through
+:class:`Levels`, a read-only slope-keyed view and the only one here, so
+no slope-keyed dict is built per search.
 
 The closed form :func:`fareyflats.slopes.distance` is the ground truth for
 lengths; :func:`bfs_distance` exists as an independent oracle computed from
@@ -19,12 +21,12 @@ Geodesic enumeration needs no truncation.  Every geodesic between two
 slopes lies in their ladder, the strip of Farey triangles crossed by the
 hyperbolic segment joining them, which is read off the continued fraction
 of one endpoint in the frame where the other is 1/0.  No ladder vertex is
-higher than the higher endpoint.
+higher than the higher endpoint.  :func:`geodesic_count` counts the
+geodesics on the same ladder without listing them.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -55,33 +57,26 @@ def _bfs_levels(adj, source, radius: int | None = None) -> dict:
     return level
 
 
-def _walk_back(
-    adj, level: dict, a: Slope, b: Slope
-) -> tuple[tuple[Slope, ...], ...]:
-    """Every shortest a-b path, sorted, given the BFS levels from a."""
-    if b not in level:
-        return ()
+def _walk_back(adj, level: dict, target: int) -> list[tuple[int, ...]]:
+    """Every shortest path from the search's source to target, unsorted.
+
+    level holds the breadth-first levels from the source, the one vertex
+    at level 0, so each path climbs down the levels from target to it.
+    """
+    if target not in level:
+        return []
     paths = []
-    stack = [(b, (b,))]
+    stack = [(target, (target,))]
     while stack:
         v, tail = stack.pop()
-        if v == a:
-            paths.append(tuple(reversed(tail)))
+        d = level[v] - 1
+        if d < 0:
+            paths.append(tail[::-1])
             continue
         for w in adj[v]:
-            if level.get(w) == level[v] - 1:
+            if level.get(w) == d:
                 stack.append((w, tail + (w,)))
-    return tuple(sorted(paths, key=lambda p: tuple(s.sort_key() for s in p)))
-
-
-def _adjacency(vertices, edges) -> dict[Slope, list[Slope]]:
-    """The neighbour table of an edge set on the given vertices."""
-    table: dict[Slope, list[Slope]] = {v: [] for v in vertices}
-    for edge in edges:
-        u, w = tuple(edge)
-        table[u].append(w)
-        table[w].append(u)
-    return table
+    return paths
 
 
 class Levels(Mapping):
@@ -189,57 +184,88 @@ class GeodesicSet:
         }
 
 
-def _ladder(a: Slope, b: Slope) -> dict[Slope, set[Slope]]:
-    """Adjacency of the ladder from a to b, less the spokes no geodesic uses.
+def _ladder(
+    a: Slope, b: Slope
+) -> tuple[list[tuple[int, int]], list[list[int]], int]:
+    """The ladder from a to b, less the spokes no geodesic uses.
 
-    In the frame where a is 1/0, b is p/q = [a0; a1, ..., an].  The ladder
-    starts with the edge 1/0 -- a0/1; fan k then pivots on the convergent
-    p_{k-1}/q_{k-1}, and its spokes (p_{k-2} + j*p_{k-1})/(q_{k-2} +
-    j*q_{k-1}), j = 0..a_k, each join the pivot and the next spoke.  For
-    a_k >= 3 only the end spokes are kept: an inner spoke touches only the
-    pivot and its two neighbours, so a geodesic through it would walk the
-    fan end to end, a_k steps where the pivot takes 2.  Convergents are
-    carried as vectors in a's coordinates, through the inverse frame map.
+    Returns the vertices as integer vectors in a's coordinates, their
+    neighbour table and the index of b; index 0 is a.  In the frame where
+    a is 1/0, b is p/q = [a0; a1, ..., an].  The ladder starts with the
+    edge 1/0 -- a0/1; fan k then pivots on the convergent p_{k-1}/q_{k-1},
+    and its spokes (p_{k-2} + j*p_{k-1})/(q_{k-2} + j*q_{k-1}), j = 0..a_k,
+    each join the pivot and the next spoke.  Spoke 0 is the previous
+    convergent, already joined to the pivot, so every later spoke is a new
+    vertex with the next index.  For a_k >= 3 only the end spokes are kept:
+    an inner spoke touches only the pivot and its two neighbours, so a
+    geodesic through it would walk the fan end to end, a_k steps where the
+    pivot takes 2.  Convergents are carried as vectors in a's coordinates,
+    through the inverse frame map, and as indices, so nothing is hashed.
     """
-    adj: dict[Slope, set[Slope]] = defaultdict(set)
-    if a == b:
-        return adj
+    vecs = [(a.p, a.q)]
+    adj: list[list[int]] = [[]]
 
-    def join(u: Slope, w: Slope) -> None:
-        adj[u].add(w)
-        adj[w].add(u)
+    def add(vec: tuple[int, int], *nbrs: int) -> int:
+        i = len(vecs)
+        vecs.append(vec)
+        adj.append(list(nbrs))
+        for j in nbrs:
+            adj[j].append(i)
+        return i
 
     x, y, p, q = _frame(a, b)
+    if q == 0:  # det(a, b) = 0: reduced slopes, so a == b
+        return vecs, adj, 0
     a0, rem = divmod(p, q)
-    prev, cur = (a.p, a.q), (a0 * a.p - y, a0 * a.q + x)
-    join(a, Slope(*cur))
+    prev, cur = 0, add((a0 * a.p - y, a0 * a.q + x), 0)
     while rem:
         ak, q, rem = q // rem, rem, q % rem
-        pivot = Slope(*cur)
-        spokes = [
-            Slope(prev[0] + j * cur[0], prev[1] + j * cur[1])
-            for j in (range(ak + 1) if ak <= 2 else (0, ak))
-        ]
-        for j, spoke in enumerate(spokes):
-            join(pivot, spoke)
-            if ak <= 2 and j:
-                join(spokes[j - 1], spoke)
-        prev, cur = cur, (prev[0] + ak * cur[0], prev[1] + ak * cur[1])
-    return adj
+        (pp, pq), (cp, cq) = vecs[prev], vecs[cur]
+        if ak <= 2:
+            spoke = prev
+            for j in range(1, ak + 1):
+                spoke = add((pp + j * cp, pq + j * cq), cur, spoke)
+        else:
+            spoke = add((pp + ak * cp, pq + ak * cq), cur)
+        prev, cur = cur, spoke
+    return vecs, adj, cur
 
 
 def geodesics(a: Slope, b: Slope, height_bound: int) -> GeodesicSet:
     """Every geodesic from a to b, found by breadth-first search in the ladder."""
-    adj = _ladder(a, b)
-    level = _bfs_levels(adj, a)
+    vecs, adj, target = _ladder(a, b)
+    level = _bfs_levels(adj, 0)
+    paths = _walk_back(adj, level, target)
+    slope = {i: Slope(*vecs[i]) for i in set().union(*paths)}
+    key = {i: s.sort_key() for i, s in slope.items()}
+    paths.sort(key=lambda path: [key[i] for i in path])
     return GeodesicSet(
         a=a,
         b=b,
-        length=level[b],
+        length=level[target],
         height_bound=max(height_bound, a.height, b.height),
-        paths=_walk_back(adj, level, a, b),
+        paths=tuple(tuple(slope[i] for i in path) for path in paths),
         truncated=False,
     )
+
+
+def geodesic_count(a: Slope, b: Slope) -> int:
+    """The number of geodesics from a to b, counted without listing them.
+
+    A vertex's count of shortest paths from a is the sum of its
+    neighbours' one level down, so one pass over the ladder's levels in
+    discovery order (every level before the next) costs O(ladder size),
+    however many geodesics there are.
+    """
+    _, adj, target = _ladder(a, b)
+    level = _bfs_levels(adj, 0)
+    ways = [0] * len(adj)
+    ways[0] = 1
+    for v, d in level.items():
+        for w in adj[v]:
+            if level[w] == d + 1:
+                ways[w] += ways[v]
+    return ways[target]
 
 
 @dataclass(frozen=True)
@@ -343,6 +369,33 @@ class Subgraph:
         }
 
 
+def _ball_tables(sub: Subgraph, ball: FareyBall):
+    """Int tables of a subgraph and its host ball.
+
+    The ball's vertices are indexed in sort_key order, so the order of
+    int tuples is the order of the slope tuples they stand for.  Returns
+    the ball's vertices in that order, the sorted indices of the
+    subgraph's vertices, and the neighbour tables of the ball's edges and
+    of the subgraph's edges.
+    """
+    verts = sorted(ball.vertices, key=Slope.sort_key)
+    index = {(v.p, v.q): i for i, v in enumerate(verts)}
+    try:
+        vs = sorted(index[v.p, v.q] for v in sub.vertices)
+    except KeyError:
+        raise ValueError("subgraph must live inside the ball") from None
+
+    def table(edges) -> list[list[int]]:
+        adj: list[list[int]] = [[] for _ in verts]
+        for u, w in edges:
+            i, j = index[u.p, u.q], index[w.p, w.q]
+            adj[i].append(j)
+            adj[j].append(i)
+        return adj
+
+    return verts, vs, table(ball.edges), table(sub.edges)
+
+
 def is_totally_geodesic(
     sub: Subgraph, ball: FareyBall
 ) -> tuple[bool, tuple[Slope, ...] | None]:
@@ -351,19 +404,14 @@ def is_totally_geodesic(
     Returns (True, None), or (False, witness) where witness is the first
     offending geodesic in the deterministic enumeration order.
     """
-    if not sub.vertices <= set(ball.vertices):
-        raise ValueError("subgraph must live inside the ball")
-    adj = _adjacency(ball.vertices, ball.edges)
-    vs = sorted(sub.vertices, key=Slope.sort_key)
-    for i, x in enumerate(vs):
-        level = _bfs_levels(adj, x)
-        for y in vs[i + 1 :]:
-            for path in _walk_back(adj, level, x, y):
+    verts, vs, outer, inner = _ball_tables(sub, ball)
+    for k, x in enumerate(vs):
+        level = _bfs_levels(outer, x)
+        for y in vs[k + 1 :]:
+            for path in sorted(_walk_back(outer, level, y)):
                 # Subgraph edges join subgraph vertices, so the edges decide.
-                if not all(
-                    frozenset(step) in sub.edges for step in zip(path, path[1:])
-                ):
-                    return False, path
+                if not all(w in inner[v] for v, w in zip(path, path[1:])):
+                    return False, tuple(verts[i] for i in path)
     return True, None
 
 
@@ -374,17 +422,13 @@ def is_convex(
 
     Returns (True, None) or (False, first offending vertex pair).
     """
-    if not sub.vertices <= set(ball.vertices):
-        raise ValueError("subgraph must live inside the ball")
-    inner_adj = _adjacency(sub.vertices, sub.edges)
-    outer_adj = _adjacency(ball.vertices, ball.edges)
-    vs = sorted(sub.vertices, key=Slope.sort_key)
-    for i, x in enumerate(vs):
+    verts, vs, outer_adj, inner_adj = _ball_tables(sub, ball)
+    for k, x in enumerate(vs):
         inner = _bfs_levels(inner_adj, x)
         outer = _bfs_levels(outer_adj, x)
-        for y in vs[i + 1 :]:
+        for y in vs[k + 1 :]:
             if inner.get(y) != outer.get(y):
-                return False, (x, y)
+                return False, (verts[x], verts[y])
     return True, None
 
 

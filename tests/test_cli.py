@@ -98,6 +98,36 @@ class TestFareyCommands:
         assert report["truncated"] is False
         assert report["paths"] == [[str(x), "3000001/1000000", "3/1", "1/0"]]
 
+    @pytest.mark.parametrize("height", ["0", "-3"])
+    def test_geodesics_rejects_height_below_one(self, capsys, height):
+        code, out, err = run(
+            capsys, ["farey", "geodesics", "0/1", "1/0", "--height", height]
+        )
+        assert code == 1
+        assert out == ""
+        assert f"--height {height} is out of range" in err
+
+    @pytest.mark.parametrize(
+        "b, code",
+        [
+            # [0; 2, ..., 2] with 18 and 19 twos: 6,765 geodesics of 20
+            # slopes (135,300) and 10,946 of 21 (229,866)
+            ("2744210/6625109", 0),
+            ("6625109/15994428", 1),
+        ],
+    )
+    def test_geodesics_fit_the_listing_budget(self, capsys, b, code):
+        assert run(capsys, ["farey", "geodesics", "1/0", b])[0] == code
+
+    def test_geodesics_refuses_a_fibonacci_count_before_listing(self, capsys):
+        p, q = 0, 1
+        for _ in range(60):  # [0; 2, ..., 2] with 60 twos
+            p, q = q, 2 * q + p
+        code, out, err = run(capsys, ["farey", "geodesics", "1/0", f"{p}/{q}"])
+        assert code == 1
+        assert out == ""
+        assert "geodesics" in err
+
     def test_ball_dot(self, capsys):
         code, out, _ = run(
             capsys, ["farey", "ball", "0/1", "--radius", "1", "--format", "dot"]
@@ -473,6 +503,14 @@ class TestPlumbing:
         assert code == 0
         assert "a: 0/1" in out.splitlines()
         assert "distance: 1" in out.splitlines()
+
+    def test_consecutive_calls_share_no_defaults(self, capsys):
+        argv = ["farey", "geodesics", "-1/1", "1/1"]
+        _, first, _ = run_json(capsys, [*argv, "--height", "4"])
+        _, second, _ = run_json(capsys, argv)
+        assert first["height_bound"] == 4
+        assert second["height_bound"] == 1
+        assert cli.build_parser() is cli.build_parser()
 
     def test_timestamp_default_and_suppression(self, capsys):
         code, out, _ = run(capsys, ["farey", "distance", "0/1", "1/0"])

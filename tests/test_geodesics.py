@@ -1,3 +1,4 @@
+import random
 from collections import deque
 from fractions import Fraction
 from functools import cache
@@ -12,6 +13,7 @@ from fareyflats.geodesics import (
     bfs_distance,
     build_ball,
     check_subgraph,
+    geodesic_count,
     geodesics,
     is_convex,
     is_totally_geodesic,
@@ -20,6 +22,7 @@ from fareyflats.slopes import (
     INFINITY,
     Slope,
     adjacent,
+    apply_unimodular,
     distance,
     neighbors,
     slopes_in_interval,
@@ -145,6 +148,81 @@ class TestLadderAgainstTruncation:
     )
     def test_sampled_height_ten(self, a, b):
         assert_ladder_matches_truncation(a, b, 20)
+
+
+def test_count_matches_enumeration_height_six():
+    verts = slopes_up_to(6)
+    for a in verts:
+        for b in verts:
+            assert geodesic_count(a, b) == len(geodesics(a, b, 1).paths)
+
+
+LARGE = 10**6
+
+
+@st.composite
+def large_slopes(draw):
+    """Slopes of height up to 10**6.
+
+    Half are drawn uniformly; the other half are continued fractions with
+    partial quotients 1 to 3, cut before their height passes 10**6, whose
+    ladders keep every spoke and can hold many geodesics.
+    """
+    if draw(st.booleans()):
+        q = draw(st.integers(0, LARGE))
+        return Slope(draw(st.integers(-LARGE, LARGE)), q) if q else INFINITY
+    prev, cur = (1, 0), (draw(st.integers(-3, 3)), 1)
+    for ak in draw(st.lists(st.integers(1, 3), max_size=30)):
+        nxt = (ak * cur[0] + prev[0], ak * cur[1] + prev[1])
+        if max(abs(nxt[0]), nxt[1]) > LARGE:
+            break
+        prev, cur = cur, nxt
+    return Slope(*cur)
+
+
+def seeded_unimodular(seed):
+    """A product of a few shears, with a swap of columns half the time."""
+    rng = random.Random(seed)
+    m = (1, 0, 0, 1)
+    for _ in range(rng.randint(0, 6)):
+        t = rng.choice([v for v in range(-9, 10) if v])
+        a, b, c, d = m
+        if rng.random() < 0.5:
+            m = (a, a * t + b, c, c * t + d)
+        else:
+            m = (a + b * t, b, c + d * t, d)
+    return (m[1], m[0], m[3], m[2]) if rng.random() < 0.5 else m
+
+
+def path_key(path):
+    return tuple(s.sort_key() for s in path)
+
+
+class TestLadderProperties:
+    @settings(deadline=None)
+    @given(large_slopes(), large_slopes())
+    def test_paths_are_the_sorted_geodesics(self, a, b):
+        g = geodesics(a, b, 1)
+        assert g.length == distance(a, b)
+        assert g.paths and geodesic_count(a, b) == len(g.paths)
+        assert list(g.paths) == sorted(set(g.paths), key=path_key)
+        cap = max(a.height, b.height)
+        for path in g.paths:
+            assert len(path) == g.length + 1
+            assert path[0] == a and path[-1] == b
+            assert all(adjacent(u, w) for u, w in zip(path, path[1:]))
+            assert all(v.height <= cap for v in path)
+
+    @settings(deadline=None)
+    @given(large_slopes(), large_slopes(), st.integers(0, 2**32))
+    def test_unimodular_maps_carry_paths_to_paths(self, a, b, seed):
+        m = seeded_unimodular(seed)
+        g = geodesics(a, b, 1)
+        image = geodesics(apply_unimodular(m, a), apply_unimodular(m, b), 1)
+        assert image.length == g.length
+        assert set(image.paths) == {
+            tuple(apply_unimodular(m, v) for v in path) for path in g.paths
+        }
 
 
 class TestBall:
