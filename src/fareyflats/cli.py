@@ -76,6 +76,13 @@ SWEEP_PAIRS = {
     "prs": lambda n: 14 * n * n,
 }
 
+# The seeded suites (``lemmas prs|prt|ml|sc --samples``, ``scenario
+# orthogonality --count``) refuse more samples than this.  The costliest at
+# its default height is ``lemmas ml``, about 1.2 ms a sample, so the budget
+# runs about a minute; the height cap above bounds a sample's cost, which at
+# height 315 reaches about 0.9 s for ``lemmas ml``.
+SAMPLE_BUDGET = 50_000
+
 
 class CliError(Exception):
     """Bad usage or bad input; maps to exit code 1."""
@@ -121,6 +128,16 @@ def _at_least(flag: str, value: int, low: int) -> int:
     """The value of a numeric flag, once it is known to be at least low."""
     if value < low:
         raise CliError(f"{flag} {value} is out of range: it must be >= {low}")
+    return value
+
+
+def _sample_count(flag: str, value: int) -> int:
+    """The number of seeded samples, once it is known to fit the budget."""
+    if not 0 <= value <= SAMPLE_BUDGET:
+        raise CliError(
+            f"{flag} {value} is out of range: it must be >= 0 and "
+            f"at most {SAMPLE_BUDGET}"
+        )
     return value
 
 
@@ -240,7 +257,7 @@ def _suite_command(driver, default_height):
     def run(args) -> Result:
         height = default_height if args.height is None else args.height
         report = driver(
-            samples=_at_least("--samples", args.samples, 0),
+            samples=_sample_count("--samples", args.samples),
             seed=0 if args.seed is None else args.seed,
             height=_bounded_height(height),
         )
@@ -293,6 +310,8 @@ def _cmd_scenario_figure2(args) -> Result:
 
 
 def _cmd_scenario_orthogonality(args) -> Result:
+    count = _sample_count("--count", args.count)
+    height = _bounded_height(args.height)
     rng = random.Random(args.seed)
     systems = (
         HandleSystem(
@@ -308,8 +327,6 @@ def _cmd_scenario_orthogonality(args) -> Result:
             ),
         ),
     )
-    count = _at_least("--count", args.count, 0)
-    height = _bounded_height(args.height)
     passes = 0
     failures = []
     for k in range(count):

@@ -135,12 +135,15 @@ class FareyGraph:
     def __contains__(self, s: Slope) -> bool:
         return (s.p, s.q) in self._by_pair
 
+    def _index(self, s: Slope) -> int:
+        i = self._by_pair.get((s.p, s.q))
+        if i is None:
+            raise ValueError(f"{s} exceeds height bound {self.height_bound}")
+        return i
+
     def bfs(self, source: Slope, radius: int | None = None) -> Levels:
         """Distances from source within the truncation (optionally capped)."""
-        i = self._by_pair.get((source.p, source.q))
-        if i is None:
-            raise ValueError(f"{source} exceeds height bound {self.height_bound}")
-        return Levels(_bfs_levels(self.adj, i, radius), self)
+        return Levels(_bfs_levels(self.adj, self._index(source), radius), self)
 
 
 def bfs_distance(a: Slope, b: Slope, height_bound: int) -> int | None:
@@ -204,47 +207,58 @@ def _ladder(
     """
     vecs = [(a.p, a.q)]
     adj: list[list[int]] = [[]]
-
-    def add(vec: tuple[int, int], *nbrs: int) -> int:
-        i = len(vecs)
-        vecs.append(vec)
-        adj.append(list(nbrs))
-        for j in nbrs:
-            adj[j].append(i)
-        return i
-
     x, y, p, q = _frame(a, b)
     if q == 0:  # det(a, b) = 0: reduced slopes, so a == b
         return vecs, adj, 0
     a0, rem = divmod(p, q)
-    prev, cur = 0, add((a0 * a.p - y, a0 * a.q + x), 0)
+    vecs.append((a0 * a.p - y, a0 * a.q + x))
+    adj[0].append(1)
+    adj.append([0])
+    prev, cur = 0, 1
     while rem:
         ak, q, rem = q // rem, rem, q % rem
         (pp, pq), (cp, cq) = vecs[prev], vecs[cur]
         if ak <= 2:
             spoke = prev
             for j in range(1, ak + 1):
-                spoke = add((pp + j * cp, pq + j * cq), cur, spoke)
+                i = len(vecs)
+                vecs.append((pp + j * cp, pq + j * cq))
+                adj.append([cur, spoke])
+                adj[cur].append(i)
+                adj[spoke].append(i)
+                spoke = i
         else:
-            spoke = add((pp + ak * cp, pq + ak * cq), cur)
+            spoke = len(vecs)
+            vecs.append((pp + ak * cp, pq + ak * cq))
+            adj.append([cur])
+            adj[cur].append(spoke)
         prev, cur = cur, spoke
     return vecs, adj, cur
 
 
 def geodesics(a: Slope, b: Slope, height_bound: int) -> GeodesicSet:
-    """Every geodesic from a to b, found by breadth-first search in the ladder."""
+    """Every geodesic from a to b, found by breadth-first search in the ladder.
+
+    Every path runs from index 0 to the target, so its ends are a and b
+    themselves, and a slope is built only for each interior vertex.
+    """
     vecs, adj, target = _ladder(a, b)
     level = _bfs_levels(adj, 0)
     paths = _walk_back(adj, level, target)
-    slope = {i: Slope(*vecs[i]) for i in set().union(*paths)}
-    key = {i: s.sort_key() for i, s in slope.items()}
-    paths.sort(key=lambda path: [key[i] for i in path])
+    slope = {target: b, 0: a}
+    for path in paths:
+        for i in path[1:-1]:
+            if i not in slope:
+                slope[i] = Slope(*vecs[i])
+    out = [tuple([slope[i] for i in path]) for path in paths]
+    if len(out) > 1:  # the paths share both ends, so interiors decide
+        out.sort(key=lambda path: [s.sort_key() for s in path[1:-1]])
     return GeodesicSet(
         a=a,
         b=b,
         length=level[target],
         height_bound=max(height_bound, a.height, b.height),
-        paths=tuple(tuple(slope[i] for i in path) for path in paths),
+        paths=tuple(out),
         truncated=False,
     )
 
@@ -306,25 +320,31 @@ class FareyBall:
 
 
 def build_ball(center: Slope, radius: int, height_bound: int) -> FareyBall:
+    """The ball of the given radius about center in the height truncation.
+
+    The search and the edge tests run on vertex indices, whose order is
+    the slopes' sort_key order; slopes are hashed only into the returned
+    edges and distances.
+    """
     if radius < 0:
         raise ValueError(f"radius {radius} is negative")
     graph = FareyGraph(height_bound)
-    dist = graph.bfs(center, radius=radius)
-    verts = tuple(sorted(dist, key=Slope.sort_key))
-    vset = set(verts)
-    edges = set()
-    for v in verts:
-        for j in graph.adj[graph._by_pair[v.p, v.q]]:
-            w = graph.vertices[j]
-            if w in vset:
-                edges.add(frozenset((v, w)))
+    level = _bfs_levels(graph.adj, graph._index(center), radius)
+    vertices, adj = graph.vertices, graph.adj
+    inside = sorted(level)
+    edges = {
+        frozenset((vertices[i], vertices[j]))
+        for i in inside
+        for j in adj[i]
+        if i < j and j in level
+    }
     return FareyBall(
         center=center,
         radius=radius,
         height_bound=height_bound,
-        vertices=verts,
+        vertices=tuple(vertices[i] for i in inside),
         edges=frozenset(edges),
-        dist_from_center=dict(dist),
+        dist_from_center={vertices[i]: d for i, d in level.items()},
     )
 
 
@@ -396,6 +416,29 @@ def _ball_tables(sub: Subgraph, ball: FareyBall):
     return verts, vs, table(ball.edges), table(sub.edges)
 
 
+def _geodesic_witness(verts, vs, outer, inner) -> tuple[Slope, ...] | None:
+    """The first ball-geodesic between subgraph vertices that leaves it."""
+    for k, x in enumerate(vs):
+        level = _bfs_levels(outer, x)
+        for y in vs[k + 1 :]:
+            for path in sorted(_walk_back(outer, level, y)):
+                # Subgraph edges join subgraph vertices, so the edges decide.
+                if not all(w in inner[v] for v, w in zip(path, path[1:])):
+                    return tuple(verts[i] for i in path)
+    return None
+
+
+def _convex_witness(verts, vs, outer, inner) -> tuple[Slope, Slope] | None:
+    """The first vertex pair whose subgraph and ball distances differ."""
+    for k, x in enumerate(vs):
+        inner_level = _bfs_levels(inner, x)
+        outer_level = _bfs_levels(outer, x)
+        for y in vs[k + 1 :]:
+            if inner_level.get(y) != outer_level.get(y):
+                return verts[x], verts[y]
+    return None
+
+
 def is_totally_geodesic(
     sub: Subgraph, ball: FareyBall
 ) -> tuple[bool, tuple[Slope, ...] | None]:
@@ -404,15 +447,8 @@ def is_totally_geodesic(
     Returns (True, None), or (False, witness) where witness is the first
     offending geodesic in the deterministic enumeration order.
     """
-    verts, vs, outer, inner = _ball_tables(sub, ball)
-    for k, x in enumerate(vs):
-        level = _bfs_levels(outer, x)
-        for y in vs[k + 1 :]:
-            for path in sorted(_walk_back(outer, level, y)):
-                # Subgraph edges join subgraph vertices, so the edges decide.
-                if not all(w in inner[v] for v, w in zip(path, path[1:])):
-                    return False, tuple(verts[i] for i in path)
-    return True, None
+    witness = _geodesic_witness(*_ball_tables(sub, ball))
+    return witness is None, witness
 
 
 def is_convex(
@@ -422,20 +458,16 @@ def is_convex(
 
     Returns (True, None) or (False, first offending vertex pair).
     """
-    verts, vs, outer_adj, inner_adj = _ball_tables(sub, ball)
-    for k, x in enumerate(vs):
-        inner = _bfs_levels(inner_adj, x)
-        outer = _bfs_levels(outer_adj, x)
-        for y in vs[k + 1 :]:
-            if inner.get(y) != outer.get(y):
-                return False, (verts[x], verts[y])
-    return True, None
+    witness = _convex_witness(*_ball_tables(sub, ball))
+    return witness is None, witness
 
 
 def check_subgraph(sub: Subgraph, ball: FareyBall) -> dict:
     """Combined convexity / total geodesy report for a subgraph in a ball."""
-    convex, convex_witness = is_convex(sub, ball)
-    tg, tg_witness = is_totally_geodesic(sub, ball)
+    tables = _ball_tables(sub, ball)
+    convex_witness = _convex_witness(*tables)
+    tg_witness = _geodesic_witness(*tables)
+    convex, tg = convex_witness is None, tg_witness is None
     return {
         "ball": {
             "center": str(ball.center),

@@ -13,40 +13,60 @@ explicit height bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 
-@dataclass(frozen=True, order=False)
 class Slope:
     """A reduced rational slope p/q with q >= 0, or 1/0.
 
     The constructor canonicalizes: common factors are removed, the sign is
     carried by the numerator, and every (p, 0) input collapses to 1/0.
-    Canonicalization is idempotent; equality is field equality.
+    Canonicalization is idempotent; equality is field equality.  Slopes are
+    immutable (assignment raises FrozenInstanceError) and unordered.
+
+    The class is slotted and its methods are written by hand because every
+    layer builds and hashes slopes and a slope pool holds one per vertex,
+    so construction, hashing, equality and size all count.  The hash must
+    stay hash((p, q)): slope-keyed sets and dicts iterate in hash order, and
+    the pinned reports and seeded draws depend on that order.
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        p, q = self.p, self.q
-        if q > 0 and gcd(p, q) == 1:
-            return  # already canonical
-        if q == 0:
-            if p == 0:
-                raise ValueError("slope 0/0 is not defined")
-            p = 1
-        else:
-            g = gcd(abs(p), abs(q))
-            p //= g
-            q //= g
-            if q < 0:
-                p, q = -p, -q
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+    def __init__(self, p: int, q: int) -> None:
+        if q <= 0 or gcd(p, q) != 1:  # not already canonical
+            if q == 0:
+                if p == 0:
+                    raise ValueError("slope 0/0 is not defined")
+                p = 1
+            else:
+                g = gcd(abs(p), abs(q))
+                p //= g
+                q //= g
+                if q < 0:
+                    p, q = -p, -q
+        _set_p(self, p)
+        _set_q(self, q)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is Slope:
+            return self.p == other.p and self.q == other.q
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
+
+    def __reduce__(self):
+        return (Slope, (self.p, self.q))
 
     @property
     def height(self) -> int:
@@ -84,6 +104,10 @@ class Slope:
             raise ValueError(f"slope must be written p/q, got {text!r}") from exc
         return Slope(p, q)
 
+
+# The slot descriptors write the fields past the frozen __setattr__.
+_set_p = Slope.p.__set__
+_set_q = Slope.q.__set__
 
 INFINITY = Slope(1, 0)
 

@@ -118,8 +118,7 @@ def linking_sweep(height: int) -> dict:
     """Every pair of distinct-slope torus arcs has linked endpoints."""
     checked = 0
     violations = []
-    for u, v in combinations(_pool(height), 2):
-        a, b = torus_arc(u), torus_arc(v)
+    for a, b in combinations(_all_seams(T, height), 2):
         checked += 1
         if not endpoint_linking(a, b):
             violations.append({"a": str(a), "b": str(b)})

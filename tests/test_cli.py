@@ -305,6 +305,15 @@ class TestLemmasCommands:
         assert out == ""
         assert f"{flag} " in err and "out of range" in err
 
+    @pytest.mark.parametrize("command", ["prs", "prt", "ml", "sc"])
+    def test_suite_refuses_samples_over_the_budget(self, capsys, command):
+        argv = ["lemmas", command, "--samples", str(cli.SAMPLE_BUDGET + 1)]
+        assert run(capsys, argv)[0] == 1
+
+    def test_sample_budget_admits_the_defaults_and_its_own_size(self):
+        for samples in (500, 200, cli.SAMPLE_BUDGET):
+            assert cli._sample_count("--samples", samples) == samples
+
     @pytest.mark.parametrize("height, code", [(315, 0), (316, 1)])
     def test_suite_height_fits_the_vertex_budget(self, capsys, height, code):
         argv = ["lemmas", "prt", "--samples", "0", "--height", str(height)]
@@ -355,6 +364,10 @@ class TestScenarioCommands:
         assert code == 1
         assert out == ""
         assert f"{flag} " in err and "out of range" in err
+
+    def test_orthogonality_refuses_a_count_over_the_budget(self, capsys):
+        argv = ["scenario", "orthogonality", "--count", str(cli.SAMPLE_BUDGET + 1)]
+        assert run(capsys, argv)[0] == 1
 
     @pytest.mark.parametrize("height, code", [(315, 0), (316, 1)])
     def test_orthogonality_height_fits_the_vertex_budget(self, capsys, height, code):

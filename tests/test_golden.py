@@ -4,7 +4,8 @@ Each case pins the SHA-256 of a ``--no-timestamp`` JSON report (or of a
 ``check_subgraph``, ``certify_flat`` or ``subproduct_total_geodesy`` report
 dumped with sorted keys, of the sorted ``neighborhood_boundary``
 components of seeded configurations, of ``FareyGraph`` neighbour tables,
-or of seeded ``FareyGraph.bfs`` levels with their discovery order).  A
+of seeded ``FareyGraph.bfs`` levels with their discovery order, or of
+every ``geodesics`` set between slopes of height at most 7).  A
 refactor of the drivers, samplers, graph searches or crossing kernels must
 leave every hash unchanged: the same seed draws the same fixtures, and
 every witness, path and boundary component comes out in the same order.
@@ -16,12 +17,19 @@ import io
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from fareyflats import cli
 from fareyflats.flats import certify_flat, default_embedding, subproduct_total_geodesy
-from fareyflats.geodesics import FareyGraph, Subgraph, build_ball, check_subgraph
+from fareyflats.geodesics import (
+    FareyGraph,
+    Subgraph,
+    build_ball,
+    check_subgraph,
+    geodesics,
+)
 from fareyflats.orbifold import (
     CORNER_LABELS,
     TORUS_MARK,
@@ -34,7 +42,7 @@ from fareyflats.orbifold import (
     random_wave,
 )
 from fareyflats.ribbon import neighborhood_boundary
-from fareyflats.slopes import Slope, slopes_in_interval
+from fareyflats.slopes import Slope, slopes_in_interval, slopes_up_to
 
 CLI_GOLDEN = {
     ("lemmas", "int", "--height", "3"):
@@ -201,6 +209,19 @@ BFS_GOLDEN = {
 @pytest.mark.parametrize("height", sorted(BFS_GOLDEN))
 def test_farey_graph_search_levels(height):
     assert _sha(json.dumps(_bfs_rows(height))) == BFS_GOLDEN[height]
+
+
+GEODESICS_GOLDEN = "d3406c0f2f7bda0135b6e036bc15a5456d870b7143254aee6013fecc3171907a"
+
+
+def test_geodesic_sets_up_to_height_seven():
+    """Every ordered pair of slopes of height <= 7: ends, length and paths
+    in their sorted order."""
+    rows = [
+        geodesics(a, b, 7).to_json_dict()
+        for a, b in product(slopes_up_to(7), repeat=2)
+    ]
+    assert _sha(json.dumps(rows)) == GEODESICS_GOLDEN
 
 
 CERTIFY_GOLDEN = {

@@ -25,6 +25,8 @@ ALLOWED = {
     "tightness_check": "an oracle: checks a realization is in minimal position",
     "regenerate_default_lines": "regenerates data/geodesics.json",
     "Configuration": "kept for the object-indexed counting engine",
+    "is_convex": "check_subgraph's convexity half alone, with its witness",
+    "is_totally_geodesic": "check_subgraph's geodesy half alone, with its witness",
 }
 
 

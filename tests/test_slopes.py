@@ -1,3 +1,7 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -271,3 +275,36 @@ class TestCanonicalFormProperties:
     def test_parse_rejects_malformed_text(self, text):
         with pytest.raises(ValueError):
             Slope.parse(text)
+
+
+class TestValueType:
+    """Slopes hash like their (p, q) pair, compare only with slopes, stay
+    immutable and unordered, carry no instance dict, and copy and pickle
+    to equal slopes."""
+
+    @given(BIG)
+    def test_hash_is_the_pair_hash(self, s):
+        assert hash(s) == hash((s.p, s.q))
+        assert hash(Slope(s.p, s.q)) == hash(s)
+
+    def test_equality_only_with_slopes(self):
+        assert Slope(1, 2) != (1, 2)
+        assert Slope(1, 2).__eq__((1, 2)) is NotImplemented
+        with pytest.raises(TypeError):
+            Slope(1, 3) < Slope(1, 2)
+
+    @given(BIG)
+    def test_frozen_and_slotted(self, s):
+        with pytest.raises(FrozenInstanceError):
+            s.p = 0
+        with pytest.raises(FrozenInstanceError):
+            del s.q
+        with pytest.raises(FrozenInstanceError):
+            s.other = 1
+        assert not hasattr(s, "__dict__")
+
+    @given(BIG)
+    def test_copy_and_pickle_round_trips(self, s):
+        for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert type(twin) is Slope and twin == s
+            assert (twin.p, twin.q) == (s.p, s.q)
