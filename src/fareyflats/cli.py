@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from math import gcd
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import flats, sweeps
 from .flats import SurfaceDesc, certify_flat, default_embedding, flat_to_dot
@@ -54,13 +54,12 @@ ENV_OUTPUT_DIR = "FAREYFLATS_OUTPUT_DIR"
 # every p/q with |p| <= H, 1 <= q <= H).  Commands that build one, and the
 # seeded suites that draw from the same slopes, refuse a height whose bound
 # exceeds this budget (H = 315 is the largest accepted).  ``farey geodesics``
-# lists count * (length + 1) slopes, and refuses a pair that would list more.
+# lists count * (length + 1) slopes, ``flats export`` draws the window's
+# grid and ``flats rank`` lists max_handles pieces; each refuses more.
 GRAPH_VERTEX_BUDGET = 200_000
 
 # ``flats certify`` checks every pair of the (2w + 1)^n points of its window;
-# it refuses more pairs than this (n = 3 at window 5 has 885,115 pairs, n = 4
-# at window 5 has over 10^8).  ``flats export`` draws the window's grid and
-# refuses more than GRAPH_VERTEX_BUDGET points.
+# it refuses more pairs than this (n = 3 at window 5 has 885,115 pairs).
 CERTIFY_PAIR_BUDGET = 1_000_000
 
 # The exhaustive ``lemmas int``, ``lk`` and ``prs`` sweeps visit every pair of
@@ -77,11 +76,26 @@ SWEEP_PAIRS = {
 }
 
 # The seeded suites (``lemmas prs|prt|ml|sc --samples``, ``scenario
-# orthogonality --count``) refuse more samples than this.  The costliest at
-# its default height is ``lemmas ml``, about 1.2 ms a sample, so the budget
-# runs about a minute; the height cap above bounds a sample's cost, which at
-# height 315 reaches about 0.9 s for ``lemmas ml``.
+# orthogonality --count``) refuse more samples than this.
 SAMPLE_BUDGET = 50_000
+
+# A ``lemmas ml`` or ``sc`` sample costs more as the pool of N = 1 + H(2H + 1)
+# slopes grows (the other suites take 0.1-0.9 ms a sample at any height).
+# Measured on a 2-vCPU machine with Python 3.11: ml 0.8-1.0, 2.3-4.5, 47-62
+# and 179 ms a sample at heights 5, 20, 80 and 200 (about 870 ms at 315), and
+# sc 0.22, 0.32, 1.9-2.2 and 14-19 ms.  SUITES models these in microseconds
+# over N, above every figure, and a run modelled past 100 s is refused.
+SUITE_WORK_BUDGET = 100_000_000
+
+# command -> driver in sweeps; prs sweeps to height 4 unless told
+SWEEPS = dict(int="identity_sweep", lk="linking_sweep", prs="disjoint_projection_sweep")
+# command -> (driver in sweeps, default --height, us a sample over N or None)
+SUITES = {
+    "prs": ("disjoint_projection_suite", 8, None),
+    "prt": ("torus_move_suite", 5, None),
+    "ml": ("sphere_move_suite", 5, lambda n: 1_000 + 5 * n),
+    "sc": ("couple_trace_suite", 8, lambda n: 250 + n // 3),
+}
 
 
 class CliError(Exception):
@@ -121,114 +135,53 @@ def _slope(text: str) -> Slope:
     try:
         return Slope.parse(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad slope {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad slope {text!r}: {exc}") from None
 
 
-def _at_least(flag: str, value: int, low: int) -> int:
-    """The value of a numeric flag, once it is known to be at least low."""
-    if value < low:
-        raise CliError(f"{flag} {value} is out of range: it must be >= {low}")
-    return value
-
-
-def _sample_count(flag: str, value: int) -> int:
-    """The number of seeded samples, once it is known to fit the budget."""
-    if not 0 <= value <= SAMPLE_BUDGET:
-        raise CliError(
-            f"{flag} {value} is out of range: it must be >= 0 and "
-            f"at most {SAMPLE_BUDGET}"
-        )
-    return value
-
-
-def _sweep_height(command: str, height: int) -> int:
-    """The height, once the sweep's pair count is known to fit the budget.
-
-    The pool gains 4*phi(k) slopes at height k, so its size is summed up
-    from height 1 and the count stops at the first height past the budget,
-    whatever height was asked.
-    """
-    _at_least("--height", height, 1)
-    n = 0
-    for k in range(1, height + 1):
-        n += 4 * sum(1 for j in range(1, k + 1) if gcd(j, k) == 1)
-        if SWEEP_PAIRS[command](n) > SWEEP_PAIR_BUDGET:
-            raise CliError(
-                f"--height {height} is out of range: the {command} sweep "
-                f"visits more than {SWEEP_PAIR_BUDGET} pairs above height {k - 1}"
-            )
-    return height
-
-
-def _load_json(path: str) -> dict:
+def _fixture(path: str, parse, what: str):
+    """What parse builds from the JSON fixture at path."""
     try:
-        return json.loads(Path(path).read_text())
+        return parse(json.loads(Path(path).read_text()))
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"bad {what} fixture: {exc}") from None
+
+
+def _height(args, default: int) -> int:
+    return default if args.height is None else args.height
 
 
 # ---------------------------------------------------------------------------
-# farey group
+# handlers: the mathematics of each command, once main has checked its input
 
 
 def _cmd_farey_distance(args) -> Result:
-    a, b = _slope(args.a), _slope(args.b)
+    a, b = args.a, args.b
     return Result({"a": str(a), "b": str(b), "distance": distance(a, b)})
 
 
 def _cmd_farey_geodesics(args) -> Result:
-    a, b = _slope(args.a), _slope(args.b)
+    a, b = args.a, args.b
     cover = max(a.height, b.height)
-    height = cover if args.height is None else _at_least("--height", args.height, 1)
+    height = _height(args, cover)
     if height < cover:
         raise CliError("--height must cover both endpoints")
-    count = geodesic_count(a, b)
-    listed = count * (distance(a, b) + 1)
-    if listed > GRAPH_VERTEX_BUDGET:
-        raise CliError(
-            f"{a} and {b} are joined by {count} geodesics, {listed} slopes in "
-            f"all; at most {GRAPH_VERTEX_BUDGET} are listed"
-        )
     return Result(geodesics(a, b, height).to_json_dict())
 
 
-def _bounded_height(height: int) -> int:
-    """The height, once the slopes up to it are known to fit the budget.
-
-    Graph commands build the truncation at this height and the seeded
-    suites draw from the pool of its slopes; both hold 1 + H*(2H + 1)
-    slopes at most.
-    """
-    bound = 1 + height * (2 * height + 1)
-    if height < 1 or bound > GRAPH_VERTEX_BUDGET:
-        raise CliError(
-            f"--height {height} is out of range: it must be >= 1, with at "
-            f"most {GRAPH_VERTEX_BUDGET} slopes up to it"
-        )
-    return height
-
-
 def _cmd_farey_ball(args) -> Result:
-    center = _slope(args.center)
-    height = _bounded_height(max(args.height, center.height))
-    ball = build_ball(center, _at_least("--radius", args.radius, 0), height)
+    ball = build_ball(args.center, args.radius, max(args.height, args.center.height))
     return Result(ball.to_json_dict(), dot=ball.to_dot())
 
 
 def _cmd_farey_check_subgraph(args) -> Result:
-    data = _load_json(args.fixture)
-    try:
-        sub = Subgraph.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad subgraph fixture: {exc}") from None
-    center = _slope(args.center)
-    radius = _at_least("--ball-radius", args.ball_radius, 0)
-    height = _bounded_height(args.height)
-    if center.height > height:
+    sub = _fixture(args.fixture, Subgraph.from_json_dict, "subgraph")
+    if args.center.height > args.height:
         raise CliError("--height must cover the center")
-    host = build_ball(center, radius, height)
+    host = build_ball(args.center, args.ball_radius, args.height)
     stray = set(sub.vertices) - set(host.vertices)
     if stray:
         raise CliError(
@@ -239,54 +192,19 @@ def _cmd_farey_check_subgraph(args) -> Result:
     return Result(report, passed=report["passed"])
 
 
-# ---------------------------------------------------------------------------
-# lemmas group
-
-
-def _cmd_lemmas_int(args) -> Result:
-    report = sweeps.identity_sweep(_sweep_height("int", args.height))
+def _cmd_lemmas(args) -> Result:
+    if vars(args).get("samples") is None:  # int, lk, and prs without --samples
+        if vars(args).get("seed") is not None:
+            raise CliError(
+                "--seed only applies to the seeded suite, which --samples N "
+                "selects; without --samples, prs runs the exhaustive sweep"
+            )
+        report = getattr(sweeps, SWEEPS[args.command])(_height(args, 4))
+    else:
+        driver, height, _ = SUITES[args.command]
+        seed = 0 if args.seed is None else args.seed
+        report = getattr(sweeps, driver)(args.samples, seed, _height(args, height))
     return Result(report, passed=report["pass"])
-
-
-def _cmd_lemmas_lk(args) -> Result:
-    report = sweeps.linking_sweep(_sweep_height("lk", args.height))
-    return Result(report, passed=report["pass"])
-
-
-def _suite_command(driver, default_height):
-    def run(args) -> Result:
-        height = default_height if args.height is None else args.height
-        report = driver(
-            samples=_sample_count("--samples", args.samples),
-            seed=0 if args.seed is None else args.seed,
-            height=_bounded_height(height),
-        )
-        return Result(report, passed=report["pass"])
-
-    return run
-
-
-def _cmd_lemmas_prs(args) -> Result:
-    if args.samples is not None:
-        return _suite_command(sweeps.disjoint_projection_suite, 8)(args)
-    if args.seed is not None:
-        raise CliError(
-            "--seed only applies to the seeded suite, which --samples N "
-            "selects; without --samples, prs runs the exhaustive sweep"
-        )
-    report = sweeps.disjoint_projection_sweep(
-        _sweep_height("prs", 4 if args.height is None else args.height)
-    )
-    return Result(report, passed=report["pass"])
-
-
-_cmd_lemmas_prt = _suite_command(sweeps.torus_move_suite, 5)
-_cmd_lemmas_ml = _suite_command(sweeps.sphere_move_suite, 5)
-_cmd_lemmas_sc = _suite_command(sweeps.couple_trace_suite, 8)
-
-
-# ---------------------------------------------------------------------------
-# scenario group
 
 
 def _cmd_scenario_figure2(args) -> Result:
@@ -310,8 +228,6 @@ def _cmd_scenario_figure2(args) -> Result:
 
 
 def _cmd_scenario_orthogonality(args) -> Result:
-    count = _sample_count("--count", args.count)
-    height = _bounded_height(args.height)
     rng = random.Random(args.seed)
     systems = (
         HandleSystem(
@@ -329,9 +245,9 @@ def _cmd_scenario_orthogonality(args) -> Result:
     )
     passes = 0
     failures = []
-    for k in range(count):
+    for k in range(args.count):
         system = systems[k % len(systems)]
-        v0, v1 = random_orthogonal_pair(system, rng, height=height)
+        v0, v1 = random_orthogonal_pair(system, rng, height=args.height)
         if orthogonality_check(v0, v1):
             passes += 1
         elif len(failures) < 5:
@@ -355,10 +271,7 @@ def _cmd_scenario_orthogonality(args) -> Result:
 
 
 def _cmd_scenario_audit(args) -> Result:
-    try:
-        path = PathShadow.from_json_dict(_load_json(args.fixture))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad path-shadow fixture: {exc}") from None
+    path = _fixture(args.fixture, PathShadow.from_json_dict, "path-shadow")
     report = audit_projection_bound(path)
     report["scenario"] = "audit"
     report["fixture"] = args.fixture
@@ -366,31 +279,7 @@ def _cmd_scenario_audit(args) -> Result:
     return Result(report, passed=report["pass"])
 
 
-# ---------------------------------------------------------------------------
-# flats group
-
-
-def _window_points(args, cap: int) -> int:
-    """The (2*window + 1)^n points of the flat's window, or cap + 1 once
-    the count passes cap (so a huge --n costs nothing)."""
-    _at_least("--n", args.n, 1)
-    _at_least("--window", args.window, 1)
-    points = 1
-    for _ in range(args.n):
-        points *= 2 * args.window + 1
-        if points > cap:
-            return cap + 1
-    return points
-
-
 def _cmd_flats_certify(args) -> Result:
-    points = _window_points(args, CERTIFY_PAIR_BUDGET)
-    if points * (points - 1) // 2 > CERTIFY_PAIR_BUDGET:
-        raise CliError(
-            f"--n {args.n} with --window {args.window} is too costly: "
-            f"certifying checks every pair of the window's points, and more "
-            f"than {CERTIFY_PAIR_BUDGET} pairs are refused"
-        )
     emb = default_embedding(args.n)
     try:
         report = certify_flat(emb, args.window)
@@ -420,11 +309,6 @@ def _cmd_flats_rank(args) -> Result:
 
 
 def _cmd_flats_export(args) -> Result:
-    if _window_points(args, GRAPH_VERTEX_BUDGET) > GRAPH_VERTEX_BUDGET:
-        raise CliError(
-            f"--n {args.n} with --window {args.window} is too costly: the "
-            f"window's grid has more than {GRAPH_VERTEX_BUDGET} points"
-        )
     emb = default_embedding(args.n)
     for idx, line in enumerate(emb.lines):
         if line.lo > -args.window or line.hi < args.window:
@@ -438,6 +322,155 @@ def _cmd_flats_export(args) -> Result:
         "lines": [line.to_json_dict() for line in emb.lines],
     }
     return Result(report, dot=flat_to_dot(emb, args.window))
+
+
+# ---------------------------------------------------------------------------
+# the command table: each cost yields (what, cost, limit) for main to check
+
+
+def _pool(height: int) -> int:
+    return 1 + height * (2 * height + 1)
+
+
+def _height_cost(height: int):
+    yield f"--height {height} (slopes up to it)", _pool(height), GRAPH_VERTEX_BUDGET
+
+
+def _geodesics_cost(args):
+    count = geodesic_count(args.a, args.b)
+    what = f"{args.a} and {args.b} (slopes on their {count} geodesics)"
+    yield what, count * (distance(args.a, args.b) + 1), GRAPH_VERTEX_BUDGET
+
+
+def _lemmas_cost(args):
+    """A sweep (int, lk, and prs without --samples) counts its pairs as the
+    pool gains 4*phi(k) slopes at height k, stopping at the first height past
+    the budget, whatever height was asked.  A suite counts its samples."""
+    if vars(args).get("samples") is None:
+        height = _height(args, 4)
+        n = pairs = 0
+        for k in range(1, height + 1):
+            n += 4 * sum(1 for j in range(1, k + 1) if gcd(j, k) == 1)
+            pairs = SWEEP_PAIRS[args.command](n)
+            if pairs > SWEEP_PAIR_BUDGET:
+                break
+        what = f"--height {height} (pairs the {args.command} sweep visits)"
+        yield what, pairs, SWEEP_PAIR_BUDGET
+        return
+    _, height, per_sample = SUITES[args.command]
+    yield from _suite_cost("--samples", args.samples, _height(args, height), per_sample)
+
+
+def _suite_cost(flag: str, samples: int, height: int, per_sample=None):
+    yield f"{flag} {samples} (samples)", samples, SAMPLE_BUDGET
+    yield from _height_cost(height)
+    if per_sample:
+        what = f"{flag} {samples} at --height {height} (modelled us of work)"
+        yield what, samples * per_sample(_pool(height)), SUITE_WORK_BUDGET
+
+
+def _flat_cost(args):
+    """The window holds (2w + 1)^n points; past n = 20 it holds more than
+    every budget (3^20 > 10^9), so a huge --n costs nothing."""
+    points = (2 * args.window + 1) ** min(args.n, 20)
+    what = f"--n {args.n} with --window {args.window}"
+    if args.command == "export":
+        yield f"{what} (grid points)", points, GRAPH_VERTEX_BUDGET
+    else:
+        pairs = points * (points - 1) // 2
+        yield f"{what} (pairs of window points)", pairs, CERTIFY_PAIR_BUDGET
+
+
+def _rank_cost(args):
+    what = f"--genus {args.genus} with --boundary {args.boundary} (pieces listed)"
+    pieces = (3 * args.genus + args.boundary - 2) // 2  # flats.max_handles
+    yield what, pieces, GRAPH_VERTEX_BUDGET
+
+
+@dataclass(frozen=True)
+class Arg:
+    """A positional or an option; an option set below its floor is refused."""
+
+    name: str
+    default: object = None
+    floor: int | None = None
+    type: Callable = int
+    help: str | None = None
+    required: bool = False
+
+
+@dataclass(frozen=True)
+class Command:
+    group: str
+    name: str
+    handler: Callable[[argparse.Namespace], Result]
+    args: tuple[Arg, ...] = ()
+    cost: Callable[[argparse.Namespace], Iterable[tuple]] = lambda args: ()
+
+
+OUTPUT_FLAGS = {  # taken by every command
+    "--format": {"choices": ("json", "text", "dot"), "default": "json",
+                 "help": "output format (default json; dot only for drawings)"},
+    "--output": {"metavar": "PATH", "help": "write to PATH instead of stdout; relative "
+                 f"paths resolve under ${ENV_OUTPUT_DIR} when set"},
+    "--no-timestamp": {"action": "store_true",
+                       "help": "omit the timestamp field for byte-identical reruns"},
+}
+GROUPS = {"farey": "slope graph queries", "lemmas": "sweeps and fixture suites",
+          "scenario": "reproductions and audits", "flats": "lattice flats"}
+_AB = (Arg("a", type=_slope), Arg("b", type=_slope))
+_HEIGHT = Arg("--height", floor=1)
+_SUITE = (Arg("--samples", 500, 0), Arg("--seed", 0), _HEIGHT)
+_PRS = (_HEIGHT,
+        Arg("--samples", None, 0,
+            help="switch from the exhaustive sweep to the seeded suite"),
+        Arg("--seed", help="seed of the suite (default 0); needs --samples"))
+COMMANDS = (
+    Command("farey", "distance", _cmd_farey_distance, _AB),
+    Command("farey", "geodesics", _cmd_farey_geodesics,
+            (*_AB, _HEIGHT), _geodesics_cost),
+    Command("farey", "ball", _cmd_farey_ball,
+            (Arg("center", type=_slope), Arg("--radius", 2, 0), Arg("--height", 12)),
+            lambda args: _height_cost(max(args.height, args.center.height))),
+    Command("farey", "check-subgraph", _cmd_farey_check_subgraph,
+            (Arg("fixture", type=str, help="subgraph JSON file"),
+             Arg("--center", "0/1", type=_slope), Arg("--ball-radius", 3, 0),
+             Arg("--height", 12, 1)),
+            lambda args: _height_cost(args.height)),
+    Command("lemmas", "int", _cmd_lemmas, (Arg("--height", 6, 1),), _lemmas_cost),
+    Command("lemmas", "lk", _cmd_lemmas, (Arg("--height", 8, 1),), _lemmas_cost),
+    Command("lemmas", "prs", _cmd_lemmas, _PRS, _lemmas_cost),
+    Command("lemmas", "prt", _cmd_lemmas, _SUITE, _lemmas_cost),
+    Command("lemmas", "ml", _cmd_lemmas, _SUITE, _lemmas_cost),
+    Command("lemmas", "sc", _cmd_lemmas, _SUITE, _lemmas_cost),
+    Command("scenario", "figure2", _cmd_scenario_figure2),
+    Command("scenario", "orthogonality", _cmd_scenario_orthogonality,
+            (Arg("--count", 200, 0), Arg("--seed", 0), Arg("--height", 6, 1)),
+            lambda args: _suite_cost("--count", args.count, args.height)),
+    Command("scenario", "audit", _cmd_scenario_audit,
+            (Arg("fixture", type=str, help="path-shadow JSON file"),)),
+    Command("flats", "certify", _cmd_flats_certify,
+            (Arg("--n", None, 1, required=True), Arg("--window", 5, 1)), _flat_cost),
+    Command("flats", "rank", _cmd_flats_rank,
+            (Arg("--genus", None, 0, required=True),
+             Arg("--boundary", None, 0, required=True)),
+            _rank_cost),
+    Command("flats", "export", _cmd_flats_export,
+            (Arg("--n", 2, 1), Arg("--window", 2, 1)), _flat_cost),
+)
+
+
+def _check(command: Command, args) -> None:
+    """Refuse an option set below its floor, then an input past a budget."""
+    for arg in command.args:
+        value = getattr(args, arg.name.lstrip("-").replace("-", "_"))
+        if arg.floor is not None and value is not None and value < arg.floor:
+            raise CliError(
+                f"{arg.name} {value} is out of range: it must be >= {arg.floor}"
+            )
+    for what, cost, limit in command.cost(args):
+        if cost > limit:
+            raise CliError(f"{what} is out of range: too costly, over {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -495,134 +528,25 @@ def _emit(args, result: Result) -> None:
         dest.write_text(payload)
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("json", "text", "dot"),
-        default="json",
-        help="output format (default json; dot only for drawings)",
-    )
-    common.add_argument(
-        "--output",
-        metavar="PATH",
-        help=f"write to PATH instead of stdout; relative paths resolve "
-        f"under ${ENV_OUTPUT_DIR} when set",
-    )
-    common.add_argument(
-        "--no-timestamp",
-        action="store_true",
-        help="omit the timestamp field for byte-identical reruns",
-    )
-    return common
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parse_args leaves it unchanged."""
-    common = _common_flags()
+    common = argparse.ArgumentParser(add_help=False)
+    for flag, kwargs in OUTPUT_FLAGS.items():
+        common.add_argument(flag, **kwargs)
     parser = _Parser(prog="fareyflats", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True)
-
-    farey = groups.add_parser("farey", help="slope graph queries")
-    fsub = farey.add_subparsers(dest="command", required=True)
-
-    p = fsub.add_parser("distance", parents=[common])
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_cmd_farey_distance)
-
-    p = fsub.add_parser("geodesics", parents=[common])
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--height", type=int, default=None)
-    p.set_defaults(handler=_cmd_farey_geodesics)
-
-    p = fsub.add_parser("ball", parents=[common])
-    p.add_argument("center")
-    p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--height", type=int, default=12)
-    p.set_defaults(handler=_cmd_farey_ball)
-
-    p = fsub.add_parser("check-subgraph", parents=[common])
-    p.add_argument("fixture", help="subgraph JSON file")
-    p.add_argument("--center", default="0/1")
-    p.add_argument("--ball-radius", type=int, default=3)
-    p.add_argument("--height", type=int, default=12)
-    p.set_defaults(handler=_cmd_farey_check_subgraph)
-
-    lemmas = groups.add_parser("lemmas", help="sweeps and fixture suites")
-    lsub = lemmas.add_subparsers(dest="command", required=True)
-
-    p = lsub.add_parser("int", parents=[common])
-    p.add_argument("--height", type=int, default=6)
-    p.set_defaults(handler=_cmd_lemmas_int)
-
-    p = lsub.add_parser("lk", parents=[common])
-    p.add_argument("--height", type=int, default=8)
-    p.set_defaults(handler=_cmd_lemmas_lk)
-
-    p = lsub.add_parser("prs", parents=[common])
-    p.add_argument("--height", type=int, default=None)
-    p.add_argument(
-        "--samples",
-        type=int,
-        default=None,
-        help="switch from the exhaustive sweep to the seeded suite",
-    )
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed of the suite (default 0); needs --samples",
-    )
-    p.set_defaults(handler=_cmd_lemmas_prs)
-
-    for name, handler in (
-        ("prt", _cmd_lemmas_prt),
-        ("ml", _cmd_lemmas_ml),
-        ("sc", _cmd_lemmas_sc),
-    ):
-        p = lsub.add_parser(name, parents=[common])
-        p.add_argument("--samples", type=int, default=500)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--height", type=int, default=None)
-        p.set_defaults(handler=handler)
-
-    scenario = groups.add_parser("scenario", help="reproductions and audits")
-    ssub = scenario.add_subparsers(dest="command", required=True)
-
-    p = ssub.add_parser("figure2", parents=[common])
-    p.set_defaults(handler=_cmd_scenario_figure2)
-
-    p = ssub.add_parser("orthogonality", parents=[common])
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--height", type=int, default=6)
-    p.set_defaults(handler=_cmd_scenario_orthogonality)
-
-    p = ssub.add_parser("audit", parents=[common])
-    p.add_argument("fixture", help="path-shadow JSON file")
-    p.set_defaults(handler=_cmd_scenario_audit)
-
-    flats_group = groups.add_parser("flats", help="lattice flats")
-    flsub = flats_group.add_subparsers(dest="command", required=True)
-
-    p = flsub.add_parser("certify", parents=[common])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--window", type=int, default=5)
-    p.set_defaults(handler=_cmd_flats_certify)
-
-    p = flsub.add_parser("rank", parents=[common])
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--boundary", type=int, required=True)
-    p.set_defaults(handler=_cmd_flats_rank)
-
-    p = flsub.add_parser("export", parents=[common])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--window", type=int, default=2)
-    p.set_defaults(handler=_cmd_flats_export)
-
+    subparsers = {}
+    for group, help in GROUPS.items():
+        sub = groups.add_parser(group, help=help)
+        subparsers[group] = sub.add_subparsers(dest="command", required=True)
+    for command in COMMANDS:
+        p = subparsers[command.group].add_parser(command.name, parents=[common])
+        for arg in command.args:
+            option = {"default": arg.default, "required": arg.required}
+            kwargs = option if arg.name.startswith("-") else {}
+            p.add_argument(arg.name, type=arg.type, help=arg.help, **kwargs)
+        p.set_defaults(entry=command)
     return parser
 
 
@@ -636,7 +560,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
         return exc.code or 0
     try:
-        result = args.handler(args)
+        _check(args.entry, args)
+        result = args.entry.handler(args)
         _emit(args, result)
     except CliError as exc:
         sys.stderr.write(f"fareyflats: error: {exc}\n")

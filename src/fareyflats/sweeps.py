@@ -346,10 +346,13 @@ def sphere_move_suite(
     curve crossed twice by a wave, and a contained curve crossed once by
     each of two disjoint seams, plus up to two disjoint bystander arcs
     standing in for the rest of the trace (the disjoint-yet-far twin
-    configurations are excluded; see ``_extras_disjoint``).  Special
-    couples (seam crossing a contained curve twice) are excluded by
-    hypothesis.  The witness must be an arc (seam or wave), not a closed
-    curve.
+    configurations are excluded; see ``_extras_disjoint``).  The witness
+    must be an arc (seam or wave), not a closed curve.
+
+    Special couples (a seam crossing a contained curve twice) are excluded
+    by hypothesis, and no shape can draw one: shapes 0 and 1 hold no
+    curve, shape 2 pairs its curve with a wave, and shape 3 keeps only
+    seams that cross the curve once.  So no draw is filtered for them.
     """
 
     def draw(rng):
@@ -386,8 +389,6 @@ def sphere_move_suite(
             ):
                 return None
             component = [c, s1, s2]
-        if any(is_special_couple(x, y) for x in component for y in component):
-            return None
         return component
 
     return _move_suite(

@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from fareyflats.geodesics import Subgraph, build_ball
 from fareyflats.orbifold import PieceKind
 from fareyflats.shadows import projection_gap_scenario
 from fareyflats.slopes import Slope, slopes_in_interval, slopes_up_to
+from test_golden import CLI_GOLDEN
 
 
 def run(capsys, argv):
@@ -19,6 +21,16 @@ def run(capsys, argv):
 def run_json(capsys, argv):
     code, out, err = run(capsys, [*argv, "--no-timestamp"])
     return code, json.loads(out), err
+
+
+def costs(argv):
+    """The (what, cost, limit) of every budget argv meets; nothing runs."""
+    args = cli.build_parser().parse_args(argv)
+    return list(args.entry.cost(args))
+
+
+def admitted(argv):
+    return all(cost <= limit for _, cost, limit in costs(argv))
 
 
 def interval_fixture(tmp_path):
@@ -231,7 +243,7 @@ class TestLemmasCommands:
         assert pairs(len(slopes_up_to(largest))) <= cli.SWEEP_PAIR_BUDGET
         assert pairs(len(slopes_up_to(largest + 1))) > cli.SWEEP_PAIR_BUDGET
         for height in (1, {"int": 6, "lk": 8, "prs": 4}[command], largest):
-            assert cli._sweep_height(command, height) == height
+            assert admitted(["lemmas", command, "--height", str(height)])
 
     @pytest.mark.parametrize("height", [1, 2, 3, 4])
     def test_sweep_pair_counts_match_the_sweeps(self, height):
@@ -311,8 +323,29 @@ class TestLemmasCommands:
         assert run(capsys, argv)[0] == 1
 
     def test_sample_budget_admits_the_defaults_and_its_own_size(self):
-        for samples in (500, 200, cli.SAMPLE_BUDGET):
-            assert cli._sample_count("--samples", samples) == samples
+        for command in ("prs", "prt", "ml", "sc"):
+            for samples in (500, cli.SAMPLE_BUDGET):
+                assert admitted(["lemmas", command, "--samples", str(samples)])
+        for count in (200, cli.SAMPLE_BUDGET):
+            assert admitted(["scenario", "orthogonality", "--count", str(count)])
+
+    def test_suite_work_budget_refuses_hours_and_admits_the_usual_runs(self):
+        # about 0.87 s a sample: 50,000 samples would run about 12 hours
+        assert not admitted(["lemmas", "ml", "--samples", "50000", "--height", "315"])
+        usual = [
+            ["lemmas", command, "--samples", str(samples), *height]
+            for command in ("prs", "prt", "ml", "sc")
+            for samples in (500, cli.SAMPLE_BUDGET)
+            for height in ([], ["--height", "8" if command in ("prs", "sc") else "5"])
+        ]
+        # the seeded suites of the benchmark's fixtures workload
+        for command, samples, height in (
+            ("ml", 10, 2), ("prt", 100, 5), ("sc", 100, 8), ("prs", 100, 8)
+        ):
+            usual.append(["lemmas", command, "--samples", str(samples),
+                          "--seed", "12345", "--height", str(height)])
+        for argv in [*usual, *map(list, CLI_GOLDEN)]:
+            assert admitted(argv), argv
 
     @pytest.mark.parametrize("height, code", [(315, 0), (316, 1)])
     def test_suite_height_fits_the_vertex_budget(self, capsys, height, code):
@@ -373,6 +406,21 @@ class TestScenarioCommands:
     def test_orthogonality_height_fits_the_vertex_budget(self, capsys, height, code):
         argv = ["scenario", "orthogonality", "--count", "0", "--height", str(height)]
         assert run(capsys, argv)[0] == code
+
+    def test_orthogonality_lists_at_most_five_failures(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "orthogonality_check", lambda v0, v1: False)
+        argv = ["scenario", "orthogonality", "--count", "7"]
+        code, report, _ = run_json(capsys, argv)
+        assert code == 2
+        assert report["pass"] is False and report["passes"] == 0
+        assert [f["index"] for f in report["failures"]] == [0, 1, 2, 3, 4]
+        for failure in report["failures"]:
+            assert set(failure) == {"index", "system", "v0", "v1"}
+        code, out, _ = run(capsys, [*argv, "--format", "text", "--no-timestamp"])
+        assert code == 2
+        lines = out.splitlines()
+        assert "pass: False" in lines and "failures[4].index: 4" in lines
+        assert not any(line.startswith("failures[5]") for line in lines)
 
     def test_audit_flags_the_gap_fixture(self, capsys, tmp_path):
         fixture = gap_fixture(tmp_path)
@@ -517,6 +565,12 @@ class TestPlumbing:
         assert "a: 0/1" in out.splitlines()
         assert "distance: 1" in out.splitlines()
 
+    def test_text_format_renders_an_empty_dict(self, capsys):
+        argv = ["lemmas", "prt", "--samples", "0", "--format", "text", "--no-timestamp"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert "witness_kinds: {}" in out.splitlines()
+
     def test_consecutive_calls_share_no_defaults(self, capsys):
         argv = ["farey", "geodesics", "-1/1", "1/1"]
         _, first, _ = run_json(capsys, [*argv, "--height", "4"])
@@ -561,3 +615,137 @@ class TestPlumbing:
         assert json.loads(target.read_text())["distance"] == 1
         assert not (tmp_path / "elsewhere").exists()
         capsys.readouterr()
+
+
+# The surface of every command, written from the hand-built parser that the
+# command table replaced: positional names, the default of each option
+# beyond COMMON, and the required options.
+COMMON = {"--format": "json", "--output": None, "--no-timestamp": False}
+SUITE = {"--samples": 500, "--seed": 0, "--height": None}
+SURFACE = {
+    ("farey", "distance"): (["a", "b"], {}, []),
+    ("farey", "geodesics"): (["a", "b"], {"--height": None}, []),
+    ("farey", "ball"): (["center"], {"--radius": 2, "--height": 12}, []),
+    ("farey", "check-subgraph"): (
+        ["fixture"], {"--center": "0/1", "--ball-radius": 3, "--height": 12}, []
+    ),
+    ("lemmas", "int"): ([], {"--height": 6}, []),
+    ("lemmas", "lk"): ([], {"--height": 8}, []),
+    ("lemmas", "prs"): ([], {"--height": None, "--samples": None, "--seed": None}, []),
+    ("lemmas", "prt"): ([], SUITE, []),
+    ("lemmas", "ml"): ([], SUITE, []),
+    ("lemmas", "sc"): ([], SUITE, []),
+    ("scenario", "figure2"): ([], {}, []),
+    ("scenario", "orthogonality"): (
+        [], {"--count": 200, "--seed": 0, "--height": 6}, []
+    ),
+    ("scenario", "audit"): (["fixture"], {}, []),
+    ("flats", "certify"): ([], {"--n": None, "--window": 5}, ["--n"]),
+    ("flats", "rank"): (
+        [], {"--genus": None, "--boundary": None}, ["--genus", "--boundary"]
+    ),
+    ("flats", "export"): ([], {"--n": 2, "--window": 2}, []),
+}
+
+
+def _subparsers(parser):
+    (action,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def test_parser_surface_is_pinned():
+    found = {}
+    for group, group_parser in _subparsers(cli.build_parser()).items():
+        for name, parser in _subparsers(group_parser).items():
+            actions = [a for a in parser._actions if a.dest != "help"]
+            positionals = [a.dest for a in actions if not a.option_strings]
+            options = {s: a.default for a in actions for s in a.option_strings}
+            required = [s for a in actions if a.required for s in a.option_strings]
+            found[group, name] = (positionals, options, required)
+    assert found == {
+        key: (positionals, {**COMMON, **options}, required)
+        for key, (positionals, options, required) in SURFACE.items()
+    }
+
+
+# Each budget of the command table, keyed by (group, command, limit): the
+# argv tail of its largest admitted input and of its smallest refused one.
+FIXTURE = "<fixture>"
+V, P, S = cli.GRAPH_VERTEX_BUDGET, cli.SWEEP_PAIR_BUDGET, cli.SAMPLE_BUDGET
+BUDGET_EDGES = {
+    # [0; 2, ..., 2] with 18 and 19 twos
+    ("farey", "geodesics", V): (["1/0", "2744210/6625109"], ["1/0", "6625109/15994428"]),
+    ("farey", "ball", V): (["0/1", "--height", "315"], ["0/1", "--height", "316"]),
+    ("farey", "check-subgraph", V): (
+        [FIXTURE, "--height", "315"], [FIXTURE, "--height", "316"]
+    ),
+    ("lemmas", "int", P): (["--height", "18"], ["--height", "19"]),
+    ("lemmas", "lk", P): (["--height", "33"], ["--height", "34"]),
+    ("lemmas", "prs", P): (["--height", "14"], ["--height", "15"]),
+    **{
+        ("lemmas", command, S): (["--samples", str(S)], ["--samples", str(S + 1)])
+        for command in ("prs", "prt", "ml", "sc")
+    },
+    **{
+        ("lemmas", command, V): (
+            ["--samples", "0", "--height", "315"], ["--samples", "0", "--height", "316"]
+        )
+        for command in ("prs", "prt", "ml", "sc")
+    },
+    ("lemmas", "ml", cli.SUITE_WORK_BUDGET): (
+        ["--samples", "100", "--height", "315"], ["--samples", "101", "--height", "315"]
+    ),
+    ("lemmas", "sc", cli.SUITE_WORK_BUDGET): (
+        ["--samples", "1503", "--height", "315"], ["--samples", "1504", "--height", "315"]
+    ),
+    ("scenario", "orthogonality", S): (["--count", str(S)], ["--count", str(S + 1)]),
+    ("scenario", "orthogonality", V): (
+        ["--count", "0", "--height", "315"], ["--count", "0", "--height", "316"]
+    ),
+    ("flats", "certify", cli.CERTIFY_PAIR_BUDGET): (
+        ["--n", "3", "--window", "5"], ["--n", "3", "--window", "6"]
+    ),
+    ("flats", "export", V): (["--n", "11", "--window", "1"], ["--n", "12", "--window", "1"]),
+    ("flats", "rank", V): (
+        ["--genus", "133334", "--boundary", "0"], ["--genus", "133335", "--boundary", "0"]
+    ),
+}
+
+
+EDGE_IDS = ["-".join(map(str, key)) for key in BUDGET_EDGES]
+
+
+def _edge_argv(key, tail, tmp_path):
+    group, command, _ = key
+    fixture = triangle_fixture(tmp_path) if FIXTURE in tail else None
+    return [group, command, *(fixture if a == FIXTURE else a for a in tail)]
+
+
+@pytest.mark.parametrize("key", BUDGET_EDGES, ids=EDGE_IDS)
+def test_largest_admitted_input_fits_its_budget(key, tmp_path):
+    argv = _edge_argv(key, BUDGET_EDGES[key][0], tmp_path)
+    found = costs(argv)
+    assert key[2] in [limit for _, _, limit in found]
+    assert all(cost <= limit for _, cost, limit in found)
+
+
+@pytest.mark.parametrize("key", BUDGET_EDGES, ids=EDGE_IDS)
+def test_smallest_refused_input_exits_1_before_any_work(key, capsys, tmp_path):
+    argv = _edge_argv(key, BUDGET_EDGES[key][1], tmp_path)
+    assert [limit for _, cost, limit in costs(argv) if cost > limit] == [key[2]]
+    assert run(capsys, argv)[0] == 1
+
+
+def test_every_budget_in_the_table_has_its_edges(tmp_path):
+    for command in cli.COMMANDS:
+        keys = {k for k in BUDGET_EDGES if k[:2] == (command.group, command.name)}
+        assert bool(keys) == (command.cost is not cli.Command.cost), command.name
+        limits = {
+            limit
+            for key in keys
+            for tail in BUDGET_EDGES[key]
+            for _, _, limit in costs(_edge_argv(key, tail, tmp_path))
+        }
+        assert limits == {limit for _, _, limit in keys}, command.name
