@@ -430,7 +430,7 @@ COMMANDS = (
     Command("farey", "geodesics", _cmd_farey_geodesics,
             (*_AB, _HEIGHT), _geodesics_cost),
     Command("farey", "ball", _cmd_farey_ball,
-            (Arg("center", type=_slope), Arg("--radius", 2, 0), Arg("--height", 12)),
+            (Arg("center", type=_slope), Arg("--radius", 2, 0), Arg("--height", 12, 1)),
             lambda args: _height_cost(max(args.height, args.center.height))),
     Command("farey", "check-subgraph", _cmd_farey_check_subgraph,
             (Arg("fixture", type=str, help="subgraph JSON file"),

@@ -3,17 +3,19 @@
 Every search here runs on integer vertex indices: one level-synchronous
 breadth-first search, :func:`_bfs_levels`, over a neighbour table
 ``adj[v]`` of ints (:attr:`FareyGraph.adj`, a ladder, or the tables a
-subgraph check builds from a ball's edges), and :func:`_walk_back`, which
-turns its levels into every shortest path to a target.  Slopes are built
-only for output: the vertices of the returned paths and witnesses.
-:meth:`FareyGraph.bfs` hands its int-keyed levels out through
-:class:`Levels`, a read-only slope-keyed view and the only one here, so
-no slope-keyed dict is built per search.
+subgraph check builds from a ball's edges), which returns a level list
+and the discovery order, and :func:`_walk_back`, which turns the levels
+into every shortest path to a target.  Slopes are built only for output:
+the vertices of the returned paths and witnesses.  :meth:`FareyGraph.bfs`
+hands its levels out through :class:`Levels`, a read-only slope-keyed
+view and the only one here, so no slope-keyed dict is built per search.
 
 The closed form :func:`fareyflats.slopes.distance` is the ground truth for
 lengths; :func:`bfs_distance` exists as an independent oracle computed from
 nothing but the adjacency relation inside a height truncation, so the two
-can be checked against each other.  Balls and subgraph checks also work
+can be checked against each other.  :meth:`FareyGraph.bfs_many` is the same
+oracle for many sources at once: one bit-parallel search that reads out
+only the requested targets.  Balls and subgraph checks also work
 inside an explicit truncation.  Each call builds the truncation it needs;
 nothing is cached between calls.
 
@@ -27,43 +29,48 @@ geodesics on the same ladder without listing them.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .slopes import Slope, _frame, _neighbor_pairs, slopes_up_to
 
 
-def _bfs_levels(adj, source, radius: int | None = None) -> dict:
+def _bfs_levels(
+    adj, source: int, radius: int | None = None
+) -> tuple[list[int], list[int]]:
     """Breadth-first levels from source over the neighbour table adj[v].
 
-    Level-synchronous: each round scans the whole frontier in discovery
-    order and collects the next one, so the levels and the discovery order
-    (the dict's key order) are those of a first-in first-out search.
-    Vertices at level radius are reached but not expanded.
+    Returns level, a list with level[v] = -1 for every vertex not reached,
+    and the reached vertices in discovery order.  Level-synchronous: each
+    round scans the whole frontier in discovery order and appends the next
+    one, so the levels and the order are those of a first-in first-out
+    search.  Vertices at level radius are reached but not expanded.
     """
-    level = {source: 0}
+    level = [-1] * len(adj)
+    level[source] = 0
+    order = [source]
     frontier = [source]
     d = 0
     while frontier and (radius is None or d < radius):
         d += 1
-        found = []
+        start = len(order)
         for v in frontier:
             for w in adj[v]:
-                if w not in level:
+                if level[w] < 0:
                     level[w] = d
-                    found.append(w)
-        frontier = found
-    return level
+                    order.append(w)
+        frontier = order[start:]
+    return level, order
 
 
-def _walk_back(adj, level: dict, target: int) -> list[tuple[int, ...]]:
+def _walk_back(adj, level: list[int], target: int) -> list[tuple[int, ...]]:
     """Every shortest path from the search's source to target, unsorted.
 
     level holds the breadth-first levels from the source, the one vertex
     at level 0, so each path climbs down the levels from target to it.
     """
-    if target not in level:
+    if level[target] < 0:
         return []
     paths = []
     stack = [(target, (target,))]
@@ -74,44 +81,47 @@ def _walk_back(adj, level: dict, target: int) -> list[tuple[int, ...]]:
             paths.append(tail[::-1])
             continue
         for w in adj[v]:
-            if level.get(w) == d:
+            if level[w] == d:
                 stack.append((w, tail + (w,)))
     return paths
 
 
 class Levels(Mapping):
-    """Read-only slope-keyed view of int-keyed breadth-first levels.
+    """Read-only slope-keyed view of the levels of one :func:`_bfs_levels`.
 
-    view[s] is the level of s's vertex index; iteration follows the
-    discovery order.  No slope-keyed dict is built, so a caller pays only
-    for what it reads.
+    view[s] is the level of s's vertex index, and a vertex not reached is
+    not a key; iteration follows the discovery order.  No slope-keyed dict
+    is built, so a caller pays only for what it reads.
     """
 
-    __slots__ = ("_level", "_by_pair", "_vertices")
+    __slots__ = ("_level", "_order", "_by_pair", "_vertices")
 
-    def __init__(self, level: dict[int, int], graph: "FareyGraph"):
-        self._level = level
+    def __init__(self, searched: tuple[list[int], list[int]], graph: "FareyGraph"):
+        self._level, self._order = searched
         self._by_pair = graph._by_pair
         self._vertices = graph.vertices
 
     def __getitem__(self, s: Slope) -> int:
         try:
-            return self._level[self._by_pair[s.p, s.q]]
+            d = self._level[self._by_pair[s.p, s.q]]
         except (AttributeError, KeyError):
             raise KeyError(s) from None
+        if d < 0:
+            raise KeyError(s)
+        return d
 
     def __contains__(self, s) -> bool:
         try:
-            return self._by_pair[s.p, s.q] in self._level
+            return self._level[self._by_pair[s.p, s.q]] >= 0
         except (AttributeError, KeyError):
             return False
 
     def __iter__(self):
         vertices = self._vertices
-        return (vertices[i] for i in self._level)
+        return (vertices[i] for i in self._order)
 
     def __len__(self) -> int:
-        return len(self._level)
+        return len(self._order)
 
 
 class FareyGraph:
@@ -144,6 +154,61 @@ class FareyGraph:
     def bfs(self, source: Slope, radius: int | None = None) -> Levels:
         """Distances from source within the truncation (optionally capped)."""
         return Levels(_bfs_levels(self.adj, self._index(source), radius), self)
+
+    def bfs_many(
+        self, sources: Sequence[Slope], targets: Sequence[Slope]
+    ) -> list[tuple[int, ...]]:
+        """Distances in the truncation: rows[i][j] from sources[i] to targets[j].
+
+        One level-synchronous search serves every source (Then et al., "The
+        More the Merrier", PVLDB 8(4), 2014): source i owns bit i, seen[v]
+        holds the bits of the sources that have reached v, and each round
+        ORs a frontier vertex's new bits into its neighbours.  A target's
+        new bits at level d are spread to one byte per source and added,
+        times d, into its column, so the columns are read out in bulk and
+        nothing is read for a vertex that is not a target.  Every height
+        truncation is connected (each slope but 0/1 and 1/0 has a lower
+        neighbour), so every entry is a distance.  Each entry fits in its
+        byte: geodesics never climb above their ends, so a distance in the
+        truncation is one in the whole graph, at most the two ends'
+        distances to 1/0, and each of those grows like log_phi of the
+        height (phi the golden ratio, one step per partial quotient).  So
+        the levels stay far below 256 at any height that can be built.
+        """
+        adj, index = self.adj, self._index
+        seen = [0] * len(adj)
+        for bit, s in enumerate(sources):
+            seen[index(s)] |= 1 << bit
+        ends = [index(t) for t in targets]
+        column = dict.fromkeys(ends, 0)
+        frontier = [(v, bits) for v, bits in enumerate(seen) if bits]
+        d = 0
+        while frontier:
+            d += 1
+            reach: dict[int, int] = {}
+            get = reach.get
+            for v, bits in frontier:
+                for w in adj[v]:
+                    reach[w] = get(w, 0) | bits
+            frontier = []
+            for w, bits in reach.items():
+                new = bits & ~seen[w]
+                if new:
+                    seen[w] |= new
+                    frontier.append((w, new))
+                    if w in column:
+                        column[w] += d * _byte_per_bit(new)
+        n = len(sources)
+        columns = [column[t].to_bytes(n, "little") for t in ends]
+        return list(zip(*columns)) if columns else [() for _ in sources]
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _byte_per_bit(bits: int) -> int:
+    """The int whose byte i, counted from the low end, is bit i of bits."""
+    return int.from_bytes(format(bits, "b").encode().translate(_BIT_BYTES), "big")
 
 
 def bfs_distance(a: Slope, b: Slope, height_bound: int) -> int | None:
@@ -243,7 +308,7 @@ def geodesics(a: Slope, b: Slope, height_bound: int) -> GeodesicSet:
     themselves, and a slope is built only for each interior vertex.
     """
     vecs, adj, target = _ladder(a, b)
-    level = _bfs_levels(adj, 0)
+    level, _ = _bfs_levels(adj, 0)
     paths = _walk_back(adj, level, target)
     slope = {target: b, 0: a}
     for path in paths:
@@ -272,10 +337,11 @@ def geodesic_count(a: Slope, b: Slope) -> int:
     however many geodesics there are.
     """
     _, adj, target = _ladder(a, b)
-    level = _bfs_levels(adj, 0)
+    level, order = _bfs_levels(adj, 0)
     ways = [0] * len(adj)
     ways[0] = 1
-    for v, d in level.items():
+    for v in order:
+        d = level[v]
         for w in adj[v]:
             if level[w] == d + 1:
                 ways[w] += ways[v]
@@ -329,14 +395,14 @@ def build_ball(center: Slope, radius: int, height_bound: int) -> FareyBall:
     if radius < 0:
         raise ValueError(f"radius {radius} is negative")
     graph = FareyGraph(height_bound)
-    level = _bfs_levels(graph.adj, graph._index(center), radius)
+    level, order = _bfs_levels(graph.adj, graph._index(center), radius)
     vertices, adj = graph.vertices, graph.adj
-    inside = sorted(level)
+    inside = sorted(order)
     edges = {
         frozenset((vertices[i], vertices[j]))
         for i in inside
         for j in adj[i]
-        if i < j and j in level
+        if i < j and level[j] >= 0
     }
     return FareyBall(
         center=center,
@@ -344,7 +410,7 @@ def build_ball(center: Slope, radius: int, height_bound: int) -> FareyBall:
         height_bound=height_bound,
         vertices=tuple(vertices[i] for i in inside),
         edges=frozenset(edges),
-        dist_from_center={vertices[i]: d for i, d in level.items()},
+        dist_from_center={vertices[i]: level[i] for i in order},
     )
 
 
@@ -416,26 +482,42 @@ def _ball_tables(sub: Subgraph, ball: FareyBall):
     return verts, vs, table(ball.edges), table(sub.edges)
 
 
-def _geodesic_witness(verts, vs, outer, inner) -> tuple[Slope, ...] | None:
-    """The first ball-geodesic between subgraph vertices that leaves it."""
+def _witnesses(
+    verts, vs, outer, inner, convex: bool = True, geodesic: bool = True
+) -> tuple[tuple[Slope, Slope] | None, tuple[Slope, ...] | None]:
+    """The first convexity witness and the first total-geodesy witness.
+
+    The convexity witness is the first vertex pair whose subgraph and ball
+    distances differ; the total-geodesy witness is the first ball-geodesic
+    between subgraph vertices that leaves the subgraph.  Both scan the
+    pairs (x, y) in the same order, so one ball search from each x serves
+    both; a witness not asked for, or not found, is None.
+    """
+    pair = path = None
     for k, x in enumerate(vs):
-        level = _bfs_levels(outer, x)
-        for y in vs[k + 1 :]:
-            for path in sorted(_walk_back(outer, level, y)):
-                # Subgraph edges join subgraph vertices, so the edges decide.
-                if not all(w in inner[v] for v, w in zip(path, path[1:])):
-                    return tuple(verts[i] for i in path)
-    return None
+        if not (convex or geodesic):
+            break
+        level, _ = _bfs_levels(outer, x)
+        later = vs[k + 1 :]
+        if convex:
+            inner_level, _ = _bfs_levels(inner, x)
+            y = next((y for y in later if inner_level[y] != level[y]), None)
+            if y is not None:
+                pair, convex = (verts[x], verts[y]), False
+        if geodesic:
+            found = _leaving_path(outer, inner, level, later)
+            if found is not None:
+                path, geodesic = tuple(verts[i] for i in found), False
+    return pair, path
 
 
-def _convex_witness(verts, vs, outer, inner) -> tuple[Slope, Slope] | None:
-    """The first vertex pair whose subgraph and ball distances differ."""
-    for k, x in enumerate(vs):
-        inner_level = _bfs_levels(inner, x)
-        outer_level = _bfs_levels(outer, x)
-        for y in vs[k + 1 :]:
-            if inner_level.get(y) != outer_level.get(y):
-                return verts[x], verts[y]
+def _leaving_path(outer, inner, level, later) -> tuple[int, ...] | None:
+    """The first outer geodesic to a vertex of later that leaves inner."""
+    for y in later:
+        for path in sorted(_walk_back(outer, level, y)):
+            # Subgraph edges join subgraph vertices, so the edges decide.
+            if not all(w in inner[v] for v, w in zip(path, path[1:])):
+                return path
     return None
 
 
@@ -447,7 +529,7 @@ def is_totally_geodesic(
     Returns (True, None), or (False, witness) where witness is the first
     offending geodesic in the deterministic enumeration order.
     """
-    witness = _geodesic_witness(*_ball_tables(sub, ball))
+    _, witness = _witnesses(*_ball_tables(sub, ball), convex=False)
     return witness is None, witness
 
 
@@ -458,15 +540,13 @@ def is_convex(
 
     Returns (True, None) or (False, first offending vertex pair).
     """
-    witness = _convex_witness(*_ball_tables(sub, ball))
+    witness, _ = _witnesses(*_ball_tables(sub, ball), geodesic=False)
     return witness is None, witness
 
 
 def check_subgraph(sub: Subgraph, ball: FareyBall) -> dict:
     """Combined convexity / total geodesy report for a subgraph in a ball."""
-    tables = _ball_tables(sub, ball)
-    convex_witness = _convex_witness(*tables)
-    tg_witness = _geodesic_witness(*tables)
+    convex_witness, tg_witness = _witnesses(*_ball_tables(sub, ball))
     convex, tg = convex_witness is None, tg_witness is None
     return {
         "ball": {

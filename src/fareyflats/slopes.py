@@ -220,19 +220,28 @@ def _frame(a: Slope, b: Slope) -> tuple[int, int, int, int]:
 def distance(a: Slope, b: Slope) -> int:
     """Exact distance between a and b in the infinite Farey graph.
 
-    b is moved to 1/0 by a determinant-one change of coordinates, and a to
+    The columns of b and a are carried through the row operations of
+    Euclid's algorithm on b's column.  Each step is a graph automorphism,
+    so the distance does not change; at the end b is 1/0 and a is
     p/q = [a0; a1, ..., an].  The hyperbolic segment from 1/0 to p/q
     crosses one fan of Farey triangles per partial quotient: fan k pivots
     on the convergent p_{k-1}/q_{k-1} and its a_k + 1 spokes run from
     p_{k-2}/q_{k-2} to p_k/q_k.  Every path to p_k passes through one of
     the fan's two ends, so the distances D_k from 1/0 to the convergents
     obey D_-1 = 0, D_0 = 1 (a0 is an integer) and
-    D_k = min(D_{k-1} + 1, D_{k-2} + a_k).  The cost is O(log q) steps of
-    Euclid's algorithm, with no state kept between calls.
+    D_k = min(D_{k-1} + 1, D_{k-2} + a_k).  The cost is O(log H) division
+    steps, H the larger height, with no state kept between calls.
     """
-    _, _, p, q = _frame(b, a)
-    if q == 0:  # det(b, a) = 0: reduced slopes, so a == b
+    u, v = b.p, b.q
+    p, q = a.p, a.q
+    while v:
+        k = u // v
+        u, v = v, u % v
+        p, q = q, p - k * q
+    if not q:  # det(a, b) = 0: reduced slopes, so a == b
         return 0
+    # q may be negative: the remainders are then those of -p/-q negated,
+    # and the partial quotients are the same
     before, d = 0, 1
     p, q = q, p % q
     while q:

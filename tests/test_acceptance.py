@@ -48,17 +48,17 @@ def test_01_closed_form_distance_matches_bfs_oracle():
     # searches run only from sources with p >= 0; the remaining pairs are
     # covered by checking that negation symmetry of the closed form
     sources = [s for s in pool if s.p >= 0]
-    g60, g120 = FareyGraph(60), FareyGraph(120)
+    # one bit-parallel search per truncation serves every source
+    rows60 = FareyGraph(60).bfs_many(sources, pool)
+    rows120 = FareyGraph(120).bfs_many(sources, pool)
     mismatches = []
     pairs = 0
-    for a in sources:
-        bfs60 = g60.bfs(a)
-        bfs120 = g120.bfs(a)
-        for b in pool:
+    for a, row60, row120 in zip(sources, rows60, rows120):
+        for b, d60, d120 in zip(pool, row60, row120):
             pairs += 1
             want = distance(a, b)
-            if bfs60[b] != want or bfs120[b] != want:
-                mismatches.append((str(a), str(b), want, bfs60[b], bfs120[b]))
+            if d60 != want or d120 != want:
+                mismatches.append((str(a), str(b), want, d60, d120))
     symmetry_pairs = 0
     for a in pool:
         if a.p >= 0:

@@ -749,3 +749,46 @@ def test_every_budget_in_the_table_has_its_edges(tmp_path):
             for _, _, limit in costs(_edge_argv(key, tail, tmp_path))
         }
         assert limits == {limit for _, _, limit in keys}, command.name
+
+
+# Each declared floor of the command table: the value just below it is
+# refused with exit 1 before anything runs.
+FLOORS = [
+    (command, arg)
+    for command in cli.COMMANDS
+    for arg in command.args
+    if arg.floor is not None
+]
+
+
+def _below_floor_argv(command, arg, tmp_path):
+    argv = [command.group, command.name]
+    for other in command.args:
+        if not other.name.startswith("-"):
+            argv.append(triangle_fixture(tmp_path) if other.type is str else "0/1")
+        elif other.required and other is not arg:
+            argv += [other.name, str(other.floor)]
+    return [*argv, arg.name, str(arg.floor - 1)]
+
+
+@pytest.mark.parametrize(
+    "command, arg",
+    FLOORS,
+    ids=[f"{c.group}-{c.name}-{a.name.lstrip('-')}" for c, a in FLOORS],
+)
+def test_value_below_each_floor_exits_1(command, arg, capsys, tmp_path):
+    code, out, err = run(capsys, _below_floor_argv(command, arg, tmp_path))
+    assert code == 1 and out == ""
+    want = f"{arg.name} {arg.floor - 1} is out of range: it must be >= {arg.floor}"
+    assert want in err
+
+
+def test_every_height_option_has_a_floor():
+    heights = [
+        (command.group, command.name, arg.floor)
+        for command in cli.COMMANDS
+        for arg in command.args
+        if arg.name == "--height"
+    ]
+    assert ("farey", "ball", 1) in heights
+    assert all(floor == 1 for _, _, floor in heights)

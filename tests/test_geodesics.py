@@ -365,3 +365,43 @@ def test_bfs_view_matches_plain_search(height, pick, radius):
                 view[v]
     assert Slope(1, height + 1) not in view
     assert view.get(Slope(1, height + 1), -1) == -1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    height=st.integers(1, 20),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+    ends=st.lists(st.integers(0, 10**6), max_size=30),
+)
+def test_bfs_many_rows_match_single_searches(height, picks, ends):
+    graph = graph_at(height)
+    verts = graph.vertices
+    sources = [verts[k % len(verts)] for k in picks]
+    sources += [INFINITY, sources[0]]  # 1/0 and a repeated source
+    targets = [verts[k % len(verts)] for k in ends] + [INFINITY]
+    rows = graph.bfs_many(sources, targets)
+    assert len(rows) == len(sources)
+    for source, row in zip(sources, rows):
+        level = graph.bfs(source)
+        assert list(row) == [level[t] for t in targets]
+
+
+def test_bfs_many_every_pair_at_height_sixteen():
+    # more than 256 sources, so each source's bit lies past the first byte
+    graph = graph_at(16)
+    verts = graph.vertices
+    assert len(verts) > 256
+    rows = graph.bfs_many(verts, verts)
+    for source, row in zip(verts, rows):
+        level = graph.bfs(source)
+        assert list(row) == [level[t] for t in verts]
+
+
+def test_bfs_many_edge_shapes():
+    graph = graph_at(4)
+    assert graph.bfs_many([], [INFINITY]) == []
+    assert graph.bfs_many([INFINITY, Slope(0, 1)], []) == [(), ()]
+    with pytest.raises(ValueError):
+        graph.bfs_many([Slope(1, 5)], [INFINITY])
+    with pytest.raises(ValueError):
+        graph.bfs_many([INFINITY], [Slope(1, 5)])

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from math import gcd
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fareyflats import slopes
-from fareyflats.geodesics import bfs_distance
+from fareyflats.geodesics import bfs_distance, geodesic_count, geodesics
 from fareyflats.slopes import (
     INFINITY,
     Slope,
@@ -235,6 +236,14 @@ class TestDistanceProperties:
         assert distance(Slope(1, n), INFINITY) == 2
         assert distance(Slope(n + 1, n * n + n + 1), INFINITY) == 3
 
+    @settings(deadline=None)
+    @given(BIG, BIG)
+    def test_matches_the_ladder(self, a, b):
+        # The ladder is built by _frame and searched breadth first; the
+        # distance kernel shares no code with it.
+        assume(geodesic_count(a, b) <= 4096)
+        assert distance(a, b) == geodesics(a, b, 1).length
+
 
 INTS = st.integers(-(10**12), 10**12)
 NONZERO = INTS.filter(bool)
@@ -308,3 +317,16 @@ class TestValueType:
         for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
             assert type(twin) is Slope and twin == s
             assert (twin.p, twin.q) == (s.p, s.q)
+
+
+class TestExtendedGcd:
+    def test_negative_gcd_is_made_positive(self):
+        # Euclid's last nonzero remainder is negative here, -4 and -3.
+        assert slopes._extgcd(-4, 0) == (4, -1, 0)
+        g, x, y = slopes._extgcd(-6, -9)
+        assert g == 3 and -6 * x - 9 * y == 3
+
+    @given(INTS, INTS)
+    def test_bezout(self, a, b):
+        g, x, y = slopes._extgcd(a, b)
+        assert g == gcd(a, b) and a * x + b * y == g
