@@ -483,7 +483,7 @@ def _ball_tables(sub: Subgraph, ball: FareyBall):
 
 
 def _witnesses(
-    verts, vs, outer, inner, convex: bool = True, geodesic: bool = True
+    verts, vs, outer, inner
 ) -> tuple[tuple[Slope, Slope] | None, tuple[Slope, ...] | None]:
     """The first convexity witness and the first total-geodesy witness.
 
@@ -491,9 +491,10 @@ def _witnesses(
     distances differ; the total-geodesy witness is the first ball-geodesic
     between subgraph vertices that leaves the subgraph.  Both scan the
     pairs (x, y) in the same order, so one ball search from each x serves
-    both; a witness not asked for, or not found, is None.
+    both; a witness not found is None.
     """
     pair = path = None
+    convex = geodesic = True
     for k, x in enumerate(vs):
         if not (convex or geodesic):
             break
@@ -519,29 +520,6 @@ def _leaving_path(outer, inner, level, later) -> tuple[int, ...] | None:
             if not all(w in inner[v] for v, w in zip(path, path[1:])):
                 return path
     return None
-
-
-def is_totally_geodesic(
-    sub: Subgraph, ball: FareyBall
-) -> tuple[bool, tuple[Slope, ...] | None]:
-    """Whether every ball-geodesic between subgraph vertices stays inside.
-
-    Returns (True, None), or (False, witness) where witness is the first
-    offending geodesic in the deterministic enumeration order.
-    """
-    _, witness = _witnesses(*_ball_tables(sub, ball), convex=False)
-    return witness is None, witness
-
-
-def is_convex(
-    sub: Subgraph, ball: FareyBall
-) -> tuple[bool, tuple[Slope, Slope] | None]:
-    """Whether subgraph-internal distances match the ball's distances.
-
-    Returns (True, None) or (False, first offending vertex pair).
-    """
-    witness, _ = _witnesses(*_ball_tables(sub, ball), geodesic=False)
-    return witness is None, witness
 
 
 def check_subgraph(sub: Subgraph, ball: FareyBall) -> dict:

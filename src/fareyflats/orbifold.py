@@ -29,11 +29,13 @@ One integer kernel, ``_crossing_events``, finds where plane segments of
 one object cross the whole preimage of another: it sweeps the other
 object's line families, keeps the hits that lie on its lifts, and
 locates each hit on the other's fundamental segment exactly.
-``intersection_number`` counts these events on the torus cover and halves
-on the pillowcase (with an evenness check), and the ribbon walk builds
-its crossing graph from them.  A literal counter, which intersects
-segments with every integer translate over an explicit window in
-rational arithmetic, is kept as the independent oracle
+``RealizationContext.count(i, j)`` is the one counting entry: it counts
+these events for two objects of a context on the torus cover and halves
+on the pillowcase (with an evenness check).  ``intersection_number``
+counts a pair through it; the ribbon walk builds its crossing graph from
+the events and checks their number against it.  A literal counter, which
+intersects segments with every integer translate over an explicit window
+in rational arithmetic, is kept as the independent oracle
 (``literal_intersection_number``, ``tightness_check``).  No determinant
 formula is assumed anywhere in this module.
 """
@@ -343,6 +345,10 @@ class RealizationContext:
     cone-point hits away from shared endpoints) are impossible; the
     stability tests shrink them further and re-count to double-check.
 
+    count(i, j) is the one entry to the crossing kernel: objects are
+    named by their index here, and a crossing number, an invariant of the
+    isotopy classes, comes out the same in every realization.
+
     A closed curve's anchor may still sit on another object's line; the
     counts then slide it along itself by k/prime, where prime exceeds every
     cross-functional value, so that each (segment, family) pair rules out
@@ -381,6 +387,43 @@ class RealizationContext:
     def scaled(self, factor: int) -> "RealizationContext":
         """A context with all small offsets divided by factor (stability)."""
         return RealizationContext(self.objects, self.shrink * factor)
+
+    def count(self, i: int, j: int) -> int:
+        """Geometric crossing number of objects i and j.
+
+        The crossing events of one object's torus-cover segments with the
+        other's preimage are counted; a wave takes the segment side against
+        a curve or seam, whose line families are then counted without
+        visiting their hits.  A curve on the segment side whose anchor lies
+        on the other object slides it by k/prime, k < 5.  On the pillowcase
+        the cover count is halved after an evenness check.
+        """
+        x, y = self.objects[i], self.objects[j]
+        if y.kind is ObjectKind.WAVE and x.kind is not ObjectKind.WAVE:
+            return self.count(j, i)
+        y_fund = _fund(y, self, j)
+        ends = _fund_ends(x)
+        step = self.scale // self.prime
+        for attempt in range(5):
+            a, b = _fund(x, self, i, attempt * step)
+            segments = [
+                ((s * a[0], s * a[1]), (s * b[0], s * b[1]), ends)
+                for s in _SIGNS[self.piece]
+            ]
+            try:
+                raw = _crossing_events(x, segments, y, y_fund, self, count_only=True)
+                break
+            except _AnchorHit as exc:
+                last = exc
+        else:  # pragma: no cover
+            raise DegenerateRealization(f"anchor shifts exhausted: {last}")
+        if self.piece is PieceKind.FOUR_HOLED_SPHERE:
+            if raw % 2:
+                raise AssertionError(
+                    f"odd cover count {raw} for {x} vs {y}; realization bug"
+                )
+            return raw // 2
+        return raw
 
 
 def _pt_add(a: Point, b: Point) -> Point:
@@ -435,16 +478,6 @@ def _fund(
 def _fund_ends(obj: PieceObject) -> tuple[str | None, ...]:
     """Cone-point labels at the two ends of obj's fundamental segment."""
     return obj.endpoints if obj.kind is ObjectKind.SEAM else (None, None)
-
-
-def _cover(obj: PieceObject, ctx: RealizationContext, index: int, shift: int = 0):
-    """(a, b, ends) segments projecting bijectively onto the torus cover."""
-    a, b = _fund(obj, ctx, index, shift)
-    ends = _fund_ends(obj)
-    return [
-        ((s * a[0], s * a[1]), (s * b[0], s * b[1]), ends)
-        for s in _SIGNS[obj.piece]
-    ]
 
 
 def cover_segments(
@@ -589,26 +622,6 @@ def _crossing_events(
     return total if count_only else events
 
 
-def _cover_count(
-    x: PieceObject, ix: int, y: PieceObject, iy: int, ctx: RealizationContext
-) -> int:
-    """Crossings of x's torus-cover preimage with y's preimage.
-
-    A curve x whose anchor lies on y slides it by k/prime, k < 5 (see
-    RealizationContext).
-    """
-    y_fund = _fund(y, ctx, iy)
-    step = ctx.scale // ctx.prime
-    last: DegenerateRealization | None = None
-    for attempt in range(5):
-        segments = _cover(x, ctx, ix, attempt * step)
-        try:
-            return _crossing_events(x, segments, y, y_fund, ctx, count_only=True)
-        except _AnchorHit as exc:
-            last = exc
-    raise DegenerateRealization(f"anchor shifts exhausted: {last}")  # pragma: no cover
-
-
 # ---------------------------------------------------------------------------
 # literal counter
 
@@ -697,41 +710,17 @@ def _literal_count(
 # public counting interface
 
 
-def intersection_number(
-    x: PieceObject,
-    y: PieceObject,
-    ctx: RealizationContext | None = None,
-) -> int:
+def intersection_number(x: PieceObject, y: PieceObject) -> int:
     """Geometric crossing number of two objects on a piece.
 
-    Identical descriptors count zero.  The crossing events of one object's
-    torus-cover segments with the other's preimage are counted; a wave
-    takes the segment side against a curve or seam, whose line families
-    are then counted without visiting their hits.  On the pillowcase the
-    cover count is halved after an evenness check.
+    Identical descriptors count zero; otherwise the pair is realized on its
+    own and counted by RealizationContext.count.
     """
     if x.piece is not y.piece:
         raise ValueError("objects live on different pieces")
     if x == y:
         return 0
-    if ctx is None:
-        ctx = RealizationContext((x, y))
-    try:
-        ix = ctx.objects.index(x)
-        iy = ctx.objects.index(y)
-    except ValueError as exc:
-        raise ValueError("objects must belong to the context") from exc
-    if y.kind is ObjectKind.WAVE and x.kind is not ObjectKind.WAVE:
-        raw = _cover_count(y, iy, x, ix, ctx)
-    else:
-        raw = _cover_count(x, ix, y, iy, ctx)
-    if x.piece is PieceKind.FOUR_HOLED_SPHERE:
-        if raw % 2:
-            raise AssertionError(
-                f"odd cover count {raw} for {x} vs {y}; realization bug"
-            )
-        return raw // 2
-    return raw
+    return RealizationContext((x, y)).count(0, 1)
 
 
 def literal_intersection_number(
@@ -810,60 +799,6 @@ def tightness_check(
         "literal": literal,
         "tight": literal == canonical,
     }
-
-
-class Configuration:
-    """A fixed tuple of objects on one piece sharing a realization context."""
-
-    def __init__(self, objects: Sequence[PieceObject]):
-        self.ctx = RealizationContext(objects)
-        self.objects = self.ctx.objects
-        self.piece = self.ctx.piece
-
-    def intersection(self, i: int, j: int) -> int:
-        return intersection_number(self.objects[i], self.objects[j], self.ctx)
-
-    def intersection_matrix(self) -> list[list[int]]:
-        n = len(self.objects)
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[i][j] = out[j][i] = self.intersection(i, j)
-        return out
-
-    def to_json_dict(self) -> dict:
-        """Fixture form: descriptors plus the graded offsets as strings."""
-
-        ctx = self.ctx
-
-        def frac(units: int) -> str:
-            f = Fraction(units, ctx.scale)
-            return f"{f.numerator}/{f.denominator}"
-
-        n = len(self.objects)
-        return {
-            "piece": self.piece.value,
-            "objects": [o.to_json_dict() for o in self.objects],
-            "offsets": {
-                "curve": [frac(ctx.curve_shift(i)) for i in range(n)],
-                "wave_gap": frac(ctx.gap),
-                "wave_normal": [frac(ctx.normal_shift(i)) for i in range(n)],
-            },
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "Configuration":
-        cfg = Configuration(
-            [PieceObject.from_json_dict(d) for d in data["objects"]]
-        )
-        if data.get("piece", cfg.piece.value) != cfg.piece.value:
-            raise ValueError("stored piece kind does not match the objects")
-        stored = data.get("offsets")
-        if stored is not None and stored != cfg.to_json_dict()["offsets"]:
-            raise ValueError(
-                "stored offsets disagree with the deterministic grading"
-            )
-        return cfg
 
 
 # ---------------------------------------------------------------------------

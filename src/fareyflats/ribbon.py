@@ -12,7 +12,7 @@ The walk happens on exact plane lifts, in the integer units of 1/L of the
 configuration's realization context (see ``orbifold``).  The crossings
 are the events of orbifold's integer kernel, each located on both
 objects' fundamental segments together with the deck map between their
-charts; their number is checked against ``intersection_number``.  Each
+charts; their number is checked against the context's ``count``.  Each
 step carries an affine deck map x -> +-x + t; crossing a closed curve's
 period seam composes a translation, and swinging around a cone point may
 compose a point reflection.  On the pillowcase the rotation at a fat
@@ -40,7 +40,6 @@ from .orbifold import (
     RealizationContext,
     TORUS_MARK,
     curve,
-    intersection_number,
     partner_label,
     seam,
     wave,
@@ -147,19 +146,15 @@ class _Walk:
         objects: Sequence[PieceObject],
         include_labels: frozenset[str],
         ctx: RealizationContext,
-        anchor_shift: Fraction = Fraction(0),
+        shift: int,
     ):
         self.objects = list(objects)
         self.labels = include_labels
         self.ctx = ctx
         self.piece = ctx.piece
-        shift = Fraction(anchor_shift) * ctx.scale
-        if shift.denominator != 1:
-            raise ValueError("anchor shifts are multiples of 1/ctx.scale")
-        # fundamental segments and their directions, in units of 1/ctx.scale
-        self.segments = [
-            _fund(o, ctx, i, int(shift)) for i, o in enumerate(self.objects)
-        ]
+        # fundamental segments and their directions, in units of 1/ctx.scale;
+        # closed curves slide their anchors shift units along themselves
+        self.segments = [_fund(o, ctx, i, shift) for i, o in enumerate(self.objects)]
         self.dirs = [_sub(b, a) for a, b in self.segments]
         # node tables
         self.crossings: list[dict] = []
@@ -192,9 +187,7 @@ class _Walk:
                 events = _crossing_events(
                     self.objects[i], strand, self.objects[j], self.segments[j], self.ctx
                 )
-                expected = intersection_number(
-                    self.objects[i], self.objects[j], self.ctx
-                )
+                expected = self.ctx.count(i, j)
                 if len(events) != expected:
                     raise AssertionError(
                         f"event count {len(events)} for {self.objects[i]} vs "
@@ -506,7 +499,8 @@ def neighborhood_boundary(
     """Classified boundary components of a regular neighborhood.
 
     objects live on one piece; include_labels names boundary circles
-    (corner labels, or "m" on the torus) welded into the union.
+    (corner labels, or "m" on the torus) welded into the union; ctx, when
+    given, realizes exactly these objects in this order.
     """
     objs = list(objects)
     if not objs:
@@ -522,9 +516,11 @@ def neighborhood_boundary(
         raise ValueError(f"labels {sorted(labels - valid)} not on this piece")
     if ctx is None:
         ctx = RealizationContext(objs)
+    elif ctx.objects != tuple(objs):
+        raise ValueError("ctx must realize exactly these objects, in order")
     last: Exception | None = None
     for attempt in range(5):
-        walk = _Walk(objs, labels, ctx, anchor_shift=Fraction(attempt, ctx.prime))
+        walk = _Walk(objs, labels, ctx, attempt * (ctx.scale // ctx.prime))
         try:
             walk.build()
         except _AnchorHit as exc:

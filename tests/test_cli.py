@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from fareyflats import cli, sweeps
+from fareyflats import cli, pieces, sweeps
 from fareyflats.geodesics import Subgraph, build_ball
-from fareyflats.orbifold import PieceKind
+from fareyflats.orbifold import ObjectKind, PieceKind
 from fareyflats.shadows import projection_gap_scenario
 from fareyflats.slopes import Slope, slopes_in_interval, slopes_up_to
 from test_golden import CLI_GOLDEN
@@ -261,6 +261,33 @@ class TestLemmasCommands:
         code, report, _ = run_json(capsys, ["lemmas", "lk", "--height", "3"])
         assert code == 0
         assert report["checked"] == 120
+
+    def test_sweep_violations_exit_2_and_render(self, capsys, monkeypatch):
+        # One crossing too many whenever a curve comes first breaks the
+        # closing-up identity on every pair, so every pair is reported.
+        right = pieces.intersection_number
+        monkeypatch.setattr(
+            pieces,
+            "intersection_number",
+            lambda x, y: right(x, y) + (x.kind is ObjectKind.CURVE),
+        )
+        argv = ["lemmas", "int", "--height", "1"]
+        code, report, _ = run_json(capsys, argv)
+        assert code == 2
+        assert report["pass"] is False
+        checked = sum(sum(t.values()) for t in report["tallies"].values())
+        assert len(report["violations"]) == checked
+        first = report["violations"][0]
+        assert first["holds"] is False
+        assert first["projected_crossings"] == first["rhs"] + 1
+        assert first["s"].startswith("seam(") and first["t"].startswith("seam(")
+        code, out, _ = run(capsys, [*argv, "--format", "text", "--no-timestamp"])
+        assert code == 2
+        lines = out.splitlines()
+        assert "pass: False" in lines
+        assert f"violations[0].s: {first['s']}" in lines
+        assert f"violations[0].t: {first['t']}" in lines
+        assert f"violations[{checked - 1}].holds: False" in lines
 
     def test_prs_defaults_to_exhaustive_sweep(self, capsys):
         code, report, _ = run_json(capsys, ["lemmas", "prs", "--height", "2"])

@@ -15,8 +15,6 @@ from fareyflats.geodesics import (
     check_subgraph,
     geodesic_count,
     geodesics,
-    is_convex,
-    is_totally_geodesic,
 )
 from fareyflats.slopes import (
     INFINITY,
@@ -265,18 +263,16 @@ class TestSubgraphChecks:
 
     def test_interval_convex_but_not_totally_geodesic(self, host):
         iv = slopes_in_interval(Fraction(-1), Fraction(1), 12)
-        sub = Subgraph.induced(iv, host)
-        convex, cw = is_convex(sub, host)
-        assert convex and cw is None
-        tg, tw = is_totally_geodesic(sub, host)
-        assert not tg
-        assert tw == (Slope(-1, 1), INFINITY, Slope(1, 1))
+        report = check_subgraph(Subgraph.induced(iv, host), host)
+        assert report["convex"] and report["convex_witness"] is None
+        assert not report["totally_geodesic"]
+        assert report["geodesic_witness"] == ["-1/1", "1/0", "1/1"]
 
     def test_triangle_passes_both(self, host):
         tri = [Slope(0, 1), Slope(1, 1), INFINITY]
-        sub = Subgraph.induced(tri, host)
-        assert is_convex(sub, host) == (True, None)
-        assert is_totally_geodesic(sub, host) == (True, None)
+        report = check_subgraph(Subgraph.induced(tri, host), host)
+        assert report["convex"] and report["convex_witness"] is None
+        assert report["totally_geodesic"] and report["geodesic_witness"] is None
 
     def test_missing_edge_breaks_convexity(self, host):
         verts = frozenset((Slope(0, 1), Slope(1, 1), INFINITY))
@@ -289,9 +285,9 @@ class TestSubgraphChecks:
                 }
             ),
         )
-        convex, witness = is_convex(sub, host)
-        assert not convex
-        assert witness == (Slope(0, 1), Slope(1, 1))
+        report = check_subgraph(sub, host)
+        assert not report["convex"]
+        assert report["convex_witness"] == ["0/1", "1/1"]
 
     def test_check_subgraph_report(self, host):
         iv = slopes_in_interval(Fraction(-1), Fraction(1), 12)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from fareyflats.orbifold import (
     PRIME_SEARCH_LIMIT,
-    Configuration,
     DegenerateRealization,
     ObjectKind,
     PieceKind,
@@ -200,8 +199,8 @@ class TestStability:
     def test_counts_survive_offset_shrinking(self, mixed_objects):
         for a, b in itertools.combinations(mixed_objects, 2):
             ctx = RealizationContext((a, b))
-            assert inum(a, b, ctx) == inum(a, b, ctx.scaled(2))
-            assert inum(a, b, ctx) == inum(a, b, ctx.scaled(5))
+            assert ctx.count(0, 1) == ctx.scaled(2).count(0, 1)
+            assert ctx.count(0, 1) == ctx.scaled(5).count(0, 1)
 
     def test_counts_survive_window_widening(self, mixed_objects):
         for a, b in itertools.combinations(mixed_objects[:4], 2):
@@ -244,18 +243,31 @@ class TestTightness:
 
 
 class TestConfiguration:
+    """Many objects realized together in one shared RealizationContext."""
+
     def test_matrix_is_symmetric_with_zero_diagonal(self, mixed_objects):
-        cfg = Configuration(mixed_objects)
-        m = cfg.intersection_matrix()
+        ctx = RealizationContext(mixed_objects)
         n = len(mixed_objects)
         for i in range(n):
-            assert m[i][i] == 0
-            for j in range(n):
-                assert m[i][j] == m[j][i]
+            assert ctx.count(i, i) == 0
+            for j in range(i + 1, n):
+                pair = inum(mixed_objects[i], mixed_objects[j])
+                assert ctx.count(i, j) == ctx.count(j, i) == pair
 
     def test_rejects_mixed_pieces(self):
         with pytest.raises(ValueError):
-            Configuration([curve(T, Slope(0, 1)), curve(S, Slope(0, 1))])
+            RealizationContext([curve(T, Slope(0, 1)), curve(S, Slope(0, 1))])
+
+    def test_torus_context_counts_every_pair_as_alone(self):
+        objs = [
+            curve(T, Slope(1, 2)),
+            torus_arc(Slope(-2, 3)),
+            curve(T, Slope(3, -1)),
+            torus_arc(Slope(1, 0)),
+        ]
+        ctx = RealizationContext(objs)
+        for i, j in itertools.combinations(range(len(objs)), 2):
+            assert ctx.count(i, j) == ctx.count(j, i) == inum(objs[i], objs[j])
 
 
 class TestEndpointLinking:
@@ -278,30 +290,6 @@ class TestSerialization:
 
         for obj in [*mixed_objects, torus_arc(Slope(1, 2)), curve(T, Slope(0, 1))]:
             assert PieceObject.from_json_dict(obj.to_json_dict()) == obj
-
-    def test_configuration_round_trip(self, mixed_objects):
-        cfg = Configuration(mixed_objects)
-        back = Configuration.from_json_dict(cfg.to_json_dict())
-        assert back.objects == cfg.objects
-        assert back.intersection_matrix() == cfg.intersection_matrix()
-
-    def test_configuration_rejects_tampered_offsets(self, mixed_objects):
-        data = Configuration(mixed_objects).to_json_dict()
-        data["offsets"]["wave_gap"] = "1/3"
-        with pytest.raises(ValueError):
-            Configuration.from_json_dict(data)
-
-    def test_configuration_rejects_wrong_piece(self, mixed_objects):
-        data = Configuration(mixed_objects).to_json_dict()
-        data["piece"] = PieceKind.ONE_HOLED_TORUS.value
-        with pytest.raises(ValueError):
-            Configuration.from_json_dict(data)
-
-    def test_offsets_are_optional_on_input(self, mixed_objects):
-        data = Configuration(mixed_objects).to_json_dict()
-        del data["offsets"]
-        back = Configuration.from_json_dict(data)
-        assert back.objects == tuple(mixed_objects)
 
 
 def test_strict_between_count():
@@ -359,8 +347,8 @@ class TestKernelProperties:
         y = data.draw(piece_objects(piece, ky))
         assume(x != y)
         ctx = RealizationContext((x, y)).scaled(shrink)
-        assert inum(x, y, ctx) == literal_intersection_number(x, y, ctx)
-        assert inum(x, y, ctx) == inum(x, y)
+        assert ctx.count(0, 1) == literal_intersection_number(x, y, ctx)
+        assert ctx.count(0, 1) == inum(x, y)
 
 
 @st.composite

@@ -1,12 +1,9 @@
-from fractions import Fraction
-
 import pytest
 
 from fareyflats.orbifold import (
     DegenerateRealization,
     PieceKind,
     RealizationContext,
-    _next_prime_above,
     curve,
     intersection_number,
     seam,
@@ -115,8 +112,7 @@ class TestCrossingWalks:
     def test_every_dart_is_walked_exactly_once(self):
         objs = [curve(T, Slope(0, 1)), torus_arc(Slope(1, 0))]
         ctx = RealizationContext(objs)
-        shift = Fraction(1, _next_prime_above(2 * ctx.norm))
-        walk = _Walk(objs, frozenset(), ctx, anchor_shift=shift)
+        walk = _Walk(objs, frozenset(), ctx, ctx.scale // ctx.prime)
         walk.build()
         comps = walk.trace()
         assert sum(c.dart_count for c in comps) == 2 * len(walk.edges)
@@ -160,3 +156,16 @@ class TestDegeneracies:
     def test_empty_union_is_rejected(self):
         with pytest.raises(ValueError):
             neighborhood_boundary([])
+
+    def test_event_count_is_checked_against_the_context(self, monkeypatch):
+        right = RealizationContext.count
+        monkeypatch.setattr(
+            RealizationContext, "count", lambda ctx, i, j: right(ctx, i, j) + 1
+        )
+        with pytest.raises(AssertionError, match="disagrees with the oracle"):
+            neighborhood_boundary([seam(S, Slope(0, 1)), seam(S, Slope(1, 0))])
+
+    def test_context_for_other_objects_is_rejected(self):
+        objs = [seam(S, Slope(0, 1)), seam(S, Slope(1, 0))]
+        with pytest.raises(ValueError):
+            neighborhood_boundary(objs, ctx=RealizationContext(objs[::-1]))
