@@ -76,11 +76,6 @@ def corner_vec(label: str) -> tuple[int, int]:
     return (int(label[0]), int(label[1]))
 
 
-def corner_lift(label: str) -> Point:
-    a, b = corner_vec(label)
-    return (Fraction(a, 2), Fraction(b, 2))
-
-
 def partner_label(slope: Slope, label: str) -> str:
     """The other endpoint of a seam of this slope leaving the given corner.
 
@@ -341,19 +336,19 @@ def _next_prime_above(n: int) -> int:
 class RealizationContext:
     """Deterministic exact offsets for a family of coexisting objects.
 
-    Offsets are graded so that all degeneracies (crossings at segment ends,
-    cone-point hits away from shared endpoints) are impossible; the
+    Offsets are graded so that all degeneracies (crossings at seam or wave
+    ends, cone-point hits away from shared endpoints) are impossible; the
     stability tests shrink them further and re-count to double-check.
 
     count(i, j) is the one entry to the crossing kernel: objects are
     named by their index here, and a crossing number, an invariant of the
     isotopy classes, comes out the same in every realization.
 
-    A closed curve's anchor may still sit on another object's line; the
-    counts then slide it along itself by k/prime, where prime exceeds every
-    cross-functional value, so that each (segment, family) pair rules out
-    at most one k and five candidates always contain a clean one.  The
-    offsets and these shifts are all multiples of 1/scale.
+    A closed curve's fundamental segment runs over one period [a, b) from
+    its anchor a, half open, so each point of the curve is on it once; an
+    anchor on another object is just a crossing at t = 0, and every
+    realization is counted in one attempt.  The offsets are all multiples
+    of 1/scale.
     """
 
     def __init__(self, objects: Sequence[PieceObject], shrink: int = 1):
@@ -394,29 +389,20 @@ class RealizationContext:
         The crossing events of one object's torus-cover segments with the
         other's preimage are counted; a wave takes the segment side against
         a curve or seam, whose line families are then counted without
-        visiting their hits.  A curve on the segment side whose anchor lies
-        on the other object slides it by k/prime, k < 5.  On the pillowcase
-        the cover count is halved after an evenness check.
+        visiting their hits.  A curve on the segment side covers its period
+        half open, so a crossing at its anchor counts once.  On the
+        pillowcase the cover count is halved after an evenness check.
         """
         x, y = self.objects[i], self.objects[j]
         if y.kind is ObjectKind.WAVE and x.kind is not ObjectKind.WAVE:
             return self.count(j, i)
-        y_fund = _fund(y, self, j)
+        a, b = _fund(x, self, i)
         ends = _fund_ends(x)
-        step = self.scale // self.prime
-        for attempt in range(5):
-            a, b = _fund(x, self, i, attempt * step)
-            segments = [
-                ((s * a[0], s * a[1]), (s * b[0], s * b[1]), ends)
-                for s in _SIGNS[self.piece]
-            ]
-            try:
-                raw = _crossing_events(x, segments, y, y_fund, self, count_only=True)
-                break
-            except _AnchorHit as exc:
-                last = exc
-        else:  # pragma: no cover
-            raise DegenerateRealization(f"anchor shifts exhausted: {last}")
+        segments = [
+            ((s * a[0], s * a[1]), (s * b[0], s * b[1]), ends)
+            for s in _SIGNS[self.piece]
+        ]
+        raw = _crossing_events(x, segments, y, _fund(y, self, j), self, count_only=True)
         if self.piece is PieceKind.FOUR_HOLED_SPHERE:
             if raw % 2:
                 raise AssertionError(
@@ -440,26 +426,27 @@ IntPoint = tuple[int, int]
 
 
 def _corner_units(label: str, scale: int) -> IntPoint:
-    """corner_lift(label) in units of 1/scale (scale is even)."""
+    """The corner's half-lattice lift in units of 1/scale (scale is even)."""
     a, b = corner_vec(label)
     return (a * scale // 2, b * scale // 2)
 
 
 def _fund(
-    obj: PieceObject, ctx: RealizationContext, index: int, shift: int = 0
+    obj: PieceObject, ctx: RealizationContext, index: int
 ) -> tuple[IntPoint, IntPoint]:
     """The plane segment projecting one-to-one onto obj, in units of 1/scale.
 
     The plane preimage of obj is sign*fund + scale*v over v in Z^2 and the
     signs of its piece: +1 on the torus, +-1 on the pillowcase, which is
-    the plane modulo x -> -x and the translations.  A curve's anchor
-    slides shift units along the curve.
+    the plane modulo x -> -x and the translations.  A curve's segment is
+    one period [a, b) from its anchor a, read half open: b is a's
+    translate, the same point of the curve.
     """
     L, q, p = ctx.scale, obj.slope.q, obj.slope.p
     if obj.kind is ObjectKind.CURVE:
         _, x0, y0 = _extgcd(p, q)
         o = ctx.curve_shift(index)
-        a = (o * x0 + shift * q, -o * y0 + shift * p)
+        a = (o * x0, -o * y0)
         return a, (a[0] + L * q, a[1] + L * p)
     if obj.piece is PieceKind.ONE_HOLED_TORUS:
         return (0, 0), (L * q, L * p)
@@ -509,11 +496,6 @@ def cover_segments(
 # crossing-event kernel
 
 
-class _AnchorHit(DegenerateRealization):
-    """A closed curve's period anchor lies on another object; sliding the
-    anchor along the curve (by k/prime) clears it."""
-
-
 def _strict_between_count(f0, f1, unit=1) -> int:
     """How many multiples of unit lie strictly between f0 and f1."""
     lo, hi = (f0, f1) if f0 <= f1 else (f1, f0)
@@ -544,15 +526,19 @@ def _crossing_events(
     its e-coordinate modulo L; a wave's lifts leave a gap on their lines,
     which filters its hits.
 
+    When x is a closed curve its segments are periods, read half open: a
+    hit at the start is the crossing at t_x = 0, and the end is the same
+    point again.  (dc is L*det, so both ends are on y's lines or neither.)
+
     Returns the events (t_x, t_y, (sign, shift)): t_x on the x segment and
     t_y on y_fund as (numerator, denominator), and the deck map
     z -> sign*z + shift taking y_fund(t_y) to the crossing.  With
     count_only it returns their number, counting a family whose lifts
     cover its lines (curves, seams) without visiting its hits.
 
-    Raises DegenerateRealization when an x segment ends on y (_AnchorHit
-    if x is a curve), when y passes a cone point of x that is not one of
-    y's ends, or when a crossing lands on a tip of y.
+    Raises DegenerateRealization when a seam or wave x segment ends on y,
+    when y passes a cone point of x that is not one of y's ends, or when a
+    crossing lands on a tip of y.
     """
     L = ctx.scale
     p, q = y_obj.slope.p, y_obj.slope.q
@@ -570,7 +556,7 @@ def _crossing_events(
         else:
             families.append((sign * cy, [(sign, 0)]))
     y_labels = y_obj.endpoints if y_obj.kind is ObjectKind.SEAM else ()
-    end_hit = _AnchorHit if x_obj.kind is ObjectKind.CURVE else DegenerateRealization
+    closed = x_obj.kind is ObjectKind.CURVE
     events = []
     total = 0
     for a, b, ends in x_segments:
@@ -580,27 +566,35 @@ def _crossing_events(
             continue  # parallel to y
         for off, lifts in families:
             f0 = ca - off
-            for f, pt, label in ((f0, a, ends[0]), (f0 + dc, b, ends[1])):
-                # an end on y's line is a touch at a shared cone point, and
-                # nothing at all where the line runs in a wave's gap
-                if f % L or label in y_labels:
-                    continue
-                e = y0 * pt[0] + x0 * pt[1]
-                if all((s * e - ey) % L > span for s, _ in lifts):
-                    continue
-                if label is None:
-                    raise end_hit(f"an end of {x_obj} lies on {y_obj}")
-                raise DegenerateRealization(
-                    f"{y_obj} passes foreign cone point {label}"
-                )
             count = _strict_between_count(f0, f0 + dc, L)
+            k0 = min(f0, f0 + dc) // L + 1
+            if closed:
+                if f0 % L == 0:  # the line through the start: hit k = f0 / L
+                    count += 1
+                    if dc > 0:
+                        k0 -= 1
+            else:
+                for f, pt, label in ((f0, a, ends[0]), (f0 + dc, b, ends[1])):
+                    # an end on y's line is a touch at a shared cone point,
+                    # and nothing at all where the line runs in a wave's gap
+                    if f % L or label in y_labels:
+                        continue
+                    e = y0 * pt[0] + x0 * pt[1]
+                    if all((s * e - ey) % L > span for s, _ in lifts):
+                        continue
+                    if label is None:
+                        raise DegenerateRealization(
+                            f"an end of {x_obj} lies on {y_obj}"
+                        )
+                    raise DegenerateRealization(
+                        f"{y_obj} passes foreign cone point {label}"
+                    )
             if count_only and len(lifts) * span >= L:
                 total += count
                 continue
             ea = y0 * a[0] + x0 * a[1]
             de = y0 * b[0] + x0 * b[1] - ea
             den, sgn = (dc, 1) if dc > 0 else (-dc, -1)
-            k0 = min(f0, f0 + dc) // L + 1
             for k in range(k0, k0 + count):
                 num = sgn * (k * L - f0)  # t_x = num / den
                 e_hit = ea * den + num * de  # e of the hit, times den

@@ -16,7 +16,6 @@ from .orbifold import (
     ObjectKind,
     PieceKind,
     PieceObject,
-    corner_lift,
     curve,
     intersection_number,
     seam,
@@ -30,18 +29,6 @@ def common_boundaries(a: PieceObject, b: PieceObject) -> int:
     ea = set(a.endpoints if a.kind is ObjectKind.SEAM else ())
     eb = set(b.endpoints if b.kind is ObjectKind.SEAM else ())
     return len(ea & eb)
-
-
-def _corner_side_class(u: Slope, label: str) -> int:
-    """Which side of the slope-u curve a corner sits on (0 or 1).
-
-    The curve of slope u separates the four cone points into the two
-    parity pairs; the class is the half-integer residue of u's functional
-    at the corner lift, which is constant on each pair.
-    """
-    lift = corner_lift(label)
-    value = u.p * lift[0] - u.q * lift[1]
-    return int(2 * value) % 2
 
 
 def associated_seam(

@@ -12,14 +12,17 @@ The walk happens on exact plane lifts, in the integer units of 1/L of the
 configuration's realization context (see ``orbifold``).  The crossings
 are the events of orbifold's integer kernel, each located on both
 objects' fundamental segments together with the deck map between their
-charts; their number is checked against the context's ``count``.  Each
-step carries an affine deck map x -> +-x + t; crossing a closed curve's
-period seam composes a translation, and swinging around a cone point may
-compose a point reflection.  On the pillowcase the rotation at a fat
-vertex uses both lifts of every attached strand (the cone angle is pi, so
-a full upstairs turn is two downstairs turns); ray directions use the
-exact offset vectors of the strands, which the realization constants keep
-pairwise non-parallel.
+charts; their number is checked against the context's ``count``.  A
+closed curve's segment is one period, half open at its anchor.  Each
+boundary component, arc or circle, is one orbit of the successor map on
+darts (directed edges).  Each step carries an affine deck map
+x -> +-x + t; crossing a closed curve's period seam composes a
+translation, and swinging around a cone point may compose a point
+reflection.  On the pillowcase the rotation at a fat vertex uses both
+lifts of every attached strand (the cone angle is pi, so a full upstairs
+turn is two downstairs turns); ray directions use the exact offset
+vectors of the strands, which the realization constants keep pairwise
+non-parallel.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .orbifold import (
     partner_label,
     seam,
     wave,
-    _AnchorHit,
     _angle_cmp_from,
     _corner_units,
     _crossing_events,
@@ -96,7 +98,6 @@ IDENTITY = AffineMap(1, (0, 0))
 class _End:
     """A loose or attached end of an object's fundamental segment."""
 
-    obj_index: int
     which: int  # 0 = segment start, 1 = segment end
     label: str
     corner_point: IntPoint  # conceptual cone-point lift in fund coordinates
@@ -116,13 +117,13 @@ def _object_ends(
         lift0 = _corner_units(obj.endpoints[0], scale)
         far = _add(lift0, (scale * obj.slope.q, scale * obj.slope.p))
         return [
-            _End(-1, 0, obj.endpoints[0], lift0, a, d),
-            _End(-1, 1, obj.endpoints[0], far, b, _neg(d)),
+            _End(0, obj.endpoints[0], lift0, a, d),
+            _End(1, obj.endpoints[0], far, b, _neg(d)),
         ]
     labels = obj.endpoints
     return [
-        _End(-1, 0, labels[0], a, a, d),
-        _End(-1, 1, labels[1], b, b, _neg(d)),
+        _End(0, labels[0], a, a, d),
+        _End(1, labels[1], b, b, _neg(d)),
     ]
 
 
@@ -146,22 +147,18 @@ class _Walk:
         objects: Sequence[PieceObject],
         include_labels: frozenset[str],
         ctx: RealizationContext,
-        shift: int,
     ):
         self.objects = list(objects)
         self.labels = include_labels
         self.ctx = ctx
         self.piece = ctx.piece
-        # fundamental segments and their directions, in units of 1/ctx.scale;
-        # closed curves slide their anchors shift units along themselves
-        self.segments = [_fund(o, ctx, i, shift) for i, o in enumerate(self.objects)]
+        # fundamental segments and their directions, in units of 1/ctx.scale
+        self.segments = [_fund(o, ctx, i) for i, o in enumerate(self.objects)]
         self.dirs = [_sub(b, a) for a, b in self.segments]
-        # node tables
+        # node tables: loose ends, and the ends attached at each welded label
         self.crossings: list[dict] = []
-        self.terminals: list[dict] = []
-        self.fats: dict[str, dict] = {
-            lab: {"label": lab, "attachments": []} for lab in sorted(include_labels)
-        }
+        self.terminals: list[_End] = []
+        self.fats: dict[str, list[_End]] = {lab: [] for lab in sorted(include_labels)}
         # per-object ordered event list: (t, node_ref) with node_ref
         # ("x", idx, side) side in {"i","j"} / ("t", idx) / ("f", label, att_idx)
         self.timeline: list[list] = [[] for _ in self.objects]
@@ -204,17 +201,14 @@ class _Walk:
     def _place_ends(self):
         for idx, obj in enumerate(self.objects):
             for end in _object_ends(obj, self.segments[idx], self.ctx.scale):
-                end.obj_index = idx
                 t = Fraction(end.which)
                 if end.label in self.labels:
-                    att_list = self.fats[end.label]["attachments"]
-                    att_idx = len(att_list)
+                    att_list = self.fats[end.label]
+                    self.timeline[idx].append((t, ("f", end.label, len(att_list))))
                     att_list.append(end)
-                    self.timeline[idx].append((t, ("f", end.label, att_idx)))
                 else:
-                    term_idx = len(self.terminals)
-                    self.terminals.append({"end": end})
-                    self.timeline[idx].append((t, ("t", term_idx)))
+                    self.timeline[idx].append((t, ("t", len(self.terminals))))
+                    self.terminals.append(end)
 
     def _make_edges(self):
         for idx, obj in enumerate(self.objects):
@@ -233,7 +227,6 @@ class _Walk:
                     nxt = (k + 1) % len(events)
                     wrap = nxt == 0
                     self._add_edge(
-                        idx,
                         events[k],
                         events[nxt],
                         deck=AffineMap(1, w) if wrap else IDENTITY,
@@ -242,17 +235,11 @@ class _Walk:
                 if len(events) < 2:
                     raise AssertionError("open object with fewer than two ends")
                 for k in range(len(events) - 1):
-                    self._add_edge(idx, events[k], events[k + 1], deck=IDENTITY)
+                    self._add_edge(events[k], events[k + 1], deck=IDENTITY)
 
-    def _add_edge(self, obj_index: int, ev_from, ev_to, deck: AffineMap):
+    def _add_edge(self, ev_from, ev_to, deck: AffineMap):
         edge_id = len(self.edges)
-        edge = {
-            "obj": obj_index,
-            "from": ev_from[1],
-            "to": ev_to[1],
-            "deck": deck,
-        }
-        self.edges.append(edge)
+        self.edges.append({"from": ev_from[1], "to": ev_to[1], "deck": deck})
         self._register(ev_from[1], edge_id, outgoing=True)
         self._register(ev_to[1], edge_id, outgoing=False)
 
@@ -266,11 +253,9 @@ class _Walk:
                 raise AssertionError("crossing slot filled twice")
             node[key] = edge_id
         elif kind == "t":
-            self.terminals[node_ref[1]]["edge"] = (edge_id, outgoing)
+            self.terminals[node_ref[1]].edge = (edge_id, outgoing)
         else:
-            _, label, att_idx = node_ref
-            att = self.fats[label]["attachments"][att_idx]
-            att.edge = (edge_id, outgoing)  # type: ignore[attr-defined]
+            self.fats[node_ref[1]][node_ref[2]].edge = (edge_id, outgoing)
 
     # -- tracing -----------------------------------------------------------
 
@@ -306,7 +291,7 @@ class _Walk:
         )
         branches = (0,) if self.piece is PieceKind.ONE_HOLED_TORUS else (0, 1)
         rays = []
-        for k, att in enumerate(fat["attachments"]):
+        for k, att in enumerate(fat):
             offset = _sub(att.strand_point, att.corner_point)
             rvec = att.direction if offset == (0, 0) else offset
             translate = AffineMap(1, _sub(c0, att.corner_point))
@@ -329,8 +314,7 @@ class _Walk:
             cmp = _angle_cmp_from(enter[2])
             others.sort(key=cmp_to_key(lambda a, b: cmp(a[2], b[2])))
             out = others[0]
-        att = fat["attachments"][out[0]]
-        edge_id, outgoing = att.edge  # type: ignore[attr-defined]
+        edge_id, outgoing = fat[out[0]].edge
         return edge_id, (1 if outgoing else -1), chart.compose(out[3])
 
     def _step(self, edge_id: int, direction: int, phi: AffineMap):
@@ -354,35 +338,37 @@ class _Walk:
         nxt_edge, nxt_dir, new_phi = self._next_from_fat(label, att_idx, phi)
         return ("go", (nxt_edge, nxt_dir), new_phi)
 
+    def _orbit(self, visited: set[tuple[int, int]], dart, closed: bool):
+        """Follow the successor map from dart, marking darts visited, until
+        an arc falls off a loose end or a closed walk is back at dart;
+        returns (that end's index or None, the chart map, darts walked)."""
+        start, phi, count = dart, IDENTITY, 0
+        while True:
+            if dart in visited:
+                raise AssertionError("dart reused across boundary walks")
+            visited.add(dart)
+            count += 1
+            state = self._step(dart[0], dart[1], phi)
+            if state[0] == "end":
+                if closed:
+                    raise AssertionError("closed walk fell off an end")
+                return state[1], state[2], count
+            dart, phi = state[1], state[2]
+            if closed and dart == start:
+                return None, phi, count
+
     def trace(self) -> list[BoundaryComponent]:
         visited: set[tuple[int, int]] = set()
         components: list[BoundaryComponent] = []
 
-        def run_arc(term_idx: int):
-            term = self.terminals[term_idx]
-            edge_id, outgoing = term["edge"]
-            dart = (edge_id, 1 if outgoing else -1)
-            phi = IDENTITY
-            start_end = term["end"]
-            count = 0
-            while True:
-                if dart in visited:
-                    raise AssertionError("dart reused across boundary walks")
-                visited.add(dart)
-                count += 1
-                state = self._step(dart[0], dart[1], phi)
-                if state[0] == "end":
-                    end_term = self.terminals[state[1]]["end"]
-                    return self._classify_arc(
-                        start_end, end_term, state[2], count
-                    )
-                dart, phi = state[1], state[2]
-
-        for t_idx in range(len(self.terminals)):
-            edge_id, outgoing = self.terminals[t_idx]["edge"]
+        for start in self.terminals:
+            edge_id, outgoing = start.edge
             dart = (edge_id, 1 if outgoing else -1)
             if dart not in visited:
-                components.append(run_arc(t_idx))
+                end, phi, count = self._orbit(visited, dart, closed=False)
+                components.append(
+                    self._classify_arc(start, self.terminals[end], phi, count)
+                )
 
         # isolated closed loops: two parallel copies each
         for idx, obj in enumerate(self.objects):
@@ -394,32 +380,16 @@ class _Walk:
                 components.extend([comp, comp])
 
         # remaining darts belong to closed components
-        all_darts = [
-            (e, d) for e in range(len(self.edges)) for d in (1, -1)
-        ]
-        for dart0 in all_darts:
-            if dart0 in visited:
-                continue
-            phi = IDENTITY
-            dart = dart0
-            count = 0
-            while True:
-                if count and dart == dart0:
-                    break
-                if dart in visited:
-                    raise AssertionError("dart reused across boundary walks")
-                visited.add(dart)
-                count += 1
-                state = self._step(dart[0], dart[1], phi)
-                if state[0] == "end":
-                    raise AssertionError("closed walk fell off an end")
-                dart, phi = state[1], state[2]
-            components.append(self._classify_closed(phi, count))
+        for edge_id in range(len(self.edges)):
+            for dart in ((edge_id, 1), (edge_id, -1)):
+                if dart not in visited:
+                    _, phi, count = self._orbit(visited, dart, closed=True)
+                    components.append(self._classify_closed(phi, count))
 
         # cone points included but with nothing attached bound their own
         # parallel circle
-        for label in sorted(self.labels):
-            if not self.fats.get(label, {"attachments": []})["attachments"]:
+        for label, attached in self.fats.items():
+            if not attached:
                 components.append(
                     BoundaryComponent(
                         kind="inessential", object=None, labels=(label,),
@@ -518,13 +488,6 @@ def neighborhood_boundary(
         ctx = RealizationContext(objs)
     elif ctx.objects != tuple(objs):
         raise ValueError("ctx must realize exactly these objects, in order")
-    last: Exception | None = None
-    for attempt in range(5):
-        walk = _Walk(objs, labels, ctx, attempt * (ctx.scale // ctx.prime))
-        try:
-            walk.build()
-        except _AnchorHit as exc:
-            last = exc
-            continue
-        return walk.trace()
-    raise DegenerateRealization(f"anchor shifts exhausted: {last}")
+    walk = _Walk(objs, labels, ctx)
+    walk.build()
+    return walk.trace()

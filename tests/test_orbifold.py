@@ -18,7 +18,6 @@ from fareyflats.orbifold import (
     SegmentRep,
     _next_prime_above,
     _strict_between_count,
-    corner_lift,
     curve,
     endpoint_linking,
     intersection_number,
@@ -188,8 +187,8 @@ class TestRoutesAgree:
             assert inum(a, b) == literal_intersection_number(a, b)
 
     def test_anchor_collision_is_resolved(self):
-        # The cross functional of these two slopes divides small shift
-        # denominators; the prime-step retry must still find a clean anchor.
+        # The first curve's anchor lies on the second curve; the kernel
+        # reads each period half open, so that crossing counts once, at t = 0.
         assert inum(curve(S, Slope(-1, 1)), curve(S, Slope(4, 3))) == 2 * abs(
             det(Slope(-1, 1), Slope(4, 3))
         )
@@ -299,11 +298,6 @@ def test_strict_between_count():
     assert _strict_between_count(f(0), f(2)) == 1
     assert _strict_between_count(f(3), f(3)) == 0
     assert _strict_between_count(f(7, 3), f(-1, 3)) == 3
-
-
-def test_corner_lift_round_trip():
-    assert corner_lift("10") == (Fraction(1, 2), Fraction(0))
-    assert corner_lift("01") == (Fraction(0), Fraction(1, 2))
 
 
 @st.composite

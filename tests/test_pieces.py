@@ -12,7 +12,6 @@ from fareyflats.orbifold import (
     wave,
 )
 from fareyflats.pieces import (
-    _corner_side_class,
     associated_seam,
     common_boundaries,
     is_special_couple,
@@ -114,10 +113,7 @@ class TestAssociatedSeam:
                 twin = associated_seam(beta, s)
                 assert intersection_number(twin, s) == 0
                 assert intersection_number(twin, beta) == 0
-                # the oracle's winner agrees with the side classes
-                assert _corner_side_class(b, twin.endpoints[0]) == (
-                    _corner_side_class(b, s.endpoints[0])
-                )
+                assert twin.endpoints == s.endpoints
 
     def test_default_pair_contains_corner_00(self):
         twin = associated_seam(Slope(3, 2))

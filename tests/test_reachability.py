@@ -1,5 +1,6 @@
-"""Every public top-level name of the package, and every public method of
-its classes, is reached from outside its own definition.
+"""Every top-level name of the package, public or private, and every
+method of its classes except the dunders Python calls itself, is reached
+from outside its own definition.
 
 A name counts as reached when it is loaded (as a bare name or as an
 attribute) somewhere in the package, the demos, the benchmark harness or
@@ -61,15 +62,19 @@ def _reached() -> set[str]:
     return names
 
 
-def _public_names() -> dict[str, str]:
-    """name -> where, for every public top-level def, class and constant
-    and every public method of a top-level class."""
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _defined_names() -> dict[str, str]:
+    """name -> where, for every top-level def, class and constant and every
+    method of a top-level class but the dunders."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             if isinstance(stmt, ast.ClassDef):
                 for node in stmt.body:
-                    if isinstance(node, ast.FunctionDef) and node.name[:1] != "_":
+                    if isinstance(node, ast.FunctionDef) and not _is_dunder(node.name):
                         found[node.name] = f"{path.stem}.{stmt.name}"
                 names = [stmt.name]
             elif isinstance(stmt, ast.FunctionDef):
@@ -82,21 +87,29 @@ def _public_names() -> dict[str, str]:
             else:
                 continue
             for name in names:
-                if not name.startswith("_"):
-                    found[name] = path.stem
+                found[name] = path.stem
     return found
 
 
-def test_every_public_name_is_reached():
+def _unreached(private: bool) -> list[str]:
     reached = _reached()
-    unreached = sorted(
+    return sorted(
         f"{module}.{name}"
-        for name, module in _public_names().items()
-        if name not in reached and name not in ALLOWED
+        for name, module in _defined_names().items()
+        if name.startswith("_") == private
+        and name not in reached
+        and name not in ALLOWED
     )
-    assert unreached == []
+
+
+def test_every_public_name_is_reached():
+    assert _unreached(private=False) == []
+
+
+def test_every_private_name_is_reached():
+    assert _unreached(private=True) == []
 
 
 def test_allowlist_holds_only_unreached_names():
-    public, reached = _public_names(), _reached()
-    assert all(name in public and name not in reached for name in ALLOWED)
+    defined, reached = _defined_names(), _reached()
+    assert all(name in defined and name not in reached for name in ALLOWED)

@@ -1,17 +1,25 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fareyflats.orbifold import (
+    CORNER_LABELS,
+    TORUS_MARK,
     DegenerateRealization,
     PieceKind,
     RealizationContext,
+    _crossing_events,
+    _fund,
+    _fund_ends,
     curve,
     intersection_number,
     seam,
+    seam_pairs,
     torus_arc,
     wave,
 )
 from fareyflats.ribbon import _Walk, neighborhood_boundary
-from fareyflats.slopes import Slope, adjacent
+from fareyflats.slopes import Slope, adjacent, slopes_up_to
 
 T = PieceKind.ONE_HOLED_TORUS
 S = PieceKind.FOUR_HOLED_SPHERE
@@ -112,10 +120,24 @@ class TestCrossingWalks:
     def test_every_dart_is_walked_exactly_once(self):
         objs = [curve(T, Slope(0, 1)), torus_arc(Slope(1, 0))]
         ctx = RealizationContext(objs)
-        walk = _Walk(objs, frozenset(), ctx, ctx.scale // ctx.prime)
+        walk = _Walk(objs, frozenset(), ctx)
         walk.build()
         comps = walk.trace()
         assert sum(c.dart_count for c in comps) == 2 * len(walk.edges)
+
+    def test_crossing_at_a_curve_anchor_is_walked_at_t_zero(self):
+        # the 0/1 curve's anchor (0, -1/12) lies on the vertical torus arc:
+        # the period is half open, so that crossing is the event at t = 0
+        objs = [curve(T, Slope(0, 1)), torus_arc(Slope(1, 0))]
+        ctx = RealizationContext(objs)
+        a, b = _fund(objs[0], ctx, 0)
+        events = _crossing_events(
+            objs[0], [(a, b, _fund_ends(objs[0]))], objs[1], _fund(objs[1], ctx, 1), ctx
+        )
+        assert [t_x for t_x, _, _ in events] == [(0, 6912)]
+        assert neighborhood_boundary(objs) == neighborhood_boundary(
+            objs, ctx=ctx.scaled(3)
+        )
 
     def test_smaller_offsets_leave_components_alone(self):
         objs = [seam(S, Slope(0, 1)), seam(S, Slope(1, 0))]
@@ -128,6 +150,43 @@ class TestCrossingWalks:
     def test_walk_output_is_deterministic(self):
         objs = [torus_arc(Slope(-1, 1)), torus_arc(Slope(1, 1))]
         assert neighborhood_boundary(objs) == neighborhood_boundary(objs)
+
+
+@st.composite
+def unions_with_a_curve(draw, height=6):
+    """1-3 distinct objects on one piece, at least one of them a curve, in
+    any order, and a set of welded labels."""
+    piece = draw(st.sampled_from((T, S)))
+    slopes = st.sampled_from(slopes_up_to(height))
+    objs = [curve(piece, draw(slopes))]
+    for _ in range(draw(st.integers(0, 2))):
+        slope = draw(slopes)
+        kind = draw(st.integers(0, 1 if piece is T else 2))
+        if kind == 0:
+            objs.append(curve(piece, slope))
+        elif piece is T:
+            objs.append(torus_arc(slope))
+        else:
+            s = seam(S, slope, seam_pairs(slope)[draw(st.integers(0, 1))])
+            over = s.endpoints[draw(st.integers(0, 1))]
+            objs.append(s if kind == 1 else wave(s, over))
+    assume(len(set(objs)) == len(objs))
+    labels = (TORUS_MARK,) if piece is T else CORNER_LABELS
+    return draw(st.permutations(objs)), draw(st.sets(st.sampled_from(labels)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(union=unions_with_a_curve(), factor=st.integers(2, 7))
+def test_curve_unions_walk_as_on_shrunk_offsets(union, factor):
+    objs, labels = union
+    try:
+        base = neighborhood_boundary(objs, labels)
+        shrunk = neighborhood_boundary(
+            objs, labels, ctx=RealizationContext(objs).scaled(factor)
+        )
+    except DegenerateRealization:
+        assume(False)  # a triple point: no realization of it can be walked
+    assert base == shrunk
 
 
 class TestDegeneracies:

@@ -111,6 +111,12 @@ class TestNeighbors:
             brute = {w for w in verts if w != v and adjacent(v, w)}
             assert set(neighbors(v, 5)) == brute
 
+    def test_height_zero_has_no_neighbour_pairs(self):
+        # The early return needs a zero coordinate (0/1 or 1/0), whose
+        # fixed cofactor is +-1, above the height: only height 0 reaches it.
+        assert list(slopes._neighbor_pairs(1, 0, 0)) == []
+        assert list(slopes._neighbor_pairs(0, 1, 0)) == []
+
 
 class TestDistance:
     def test_identity(self):
