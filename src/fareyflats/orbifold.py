@@ -47,7 +47,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key
 from typing import Sequence
 
 from .slopes import Slope, _extgcd, slopes_up_to
@@ -290,55 +290,12 @@ class SegmentRep:
         return (self.b[0] - self.a[0], self.b[1] - self.a[1])
 
 
-# Miller-Rabin with the thirteen prime bases up to 41 is deterministic
-# below this bound (Sorenson and Webster, 2015).
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIME_SEARCH_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-def _is_prime(k: int) -> bool:
-    """Deterministic Miller-Rabin test for 0 <= k < PRIME_SEARCH_LIMIT."""
-    for b in _PRIME_BASES:
-        if k % b == 0:
-            return k == b
-    if k < 2:
-        return False
-    d, s = k - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in _PRIME_BASES:
-        x = pow(b, d, k)
-        if x == 1 or x == k - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % k
-            if x == k - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=256)
-def _next_prime_above(n: int) -> int:
-    """The least prime > n; refused once the search passes the test's bound."""
-    k = max(n + 1, 2)
-    while k < PRIME_SEARCH_LIMIT:
-        if _is_prime(k):
-            return k
-        k += 1
-    raise ValueError(
-        f"no prime above {n} below {PRIME_SEARCH_LIMIT}, where the prime "
-        f"test stops being exact; the slopes are too large"
-    )
-
-
 class RealizationContext:
     """Deterministic exact offsets for a family of coexisting objects.
 
     Offsets are graded so that all degeneracies (crossings at seam or wave
-    ends, cone-point hits away from shared endpoints) are impossible; the
-    stability tests shrink them further and re-count to double-check.
+    ends, cone-point hits away from shared endpoints) are impossible.  Only
+    wave offsets depend on shrink, so scaled(k) moves the waves alone.
 
     count(i, j) is the one entry to the crossing kernel: objects are
     named by their index here, and a crossing number, an invariant of the
@@ -346,9 +303,9 @@ class RealizationContext:
 
     A closed curve's fundamental segment runs over one period [a, b) from
     its anchor a, half open, so each point of the curve is on it once; an
-    anchor on another object is just a crossing at t = 0, and every
-    realization is counted in one attempt.  The offsets are all multiples
-    of 1/scale.
+    anchor on another object is just a crossing at t = 0.  The kernel and
+    the literal counter both read it so.  The offsets are all multiples of
+    1/scale.
     """
 
     def __init__(self, objects: Sequence[PieceObject], shrink: int = 1):
@@ -360,16 +317,15 @@ class RealizationContext:
         self.piece = objects[0].piece
         self.objects = tuple(objects)
         self.norm = max(o.slope.p**2 + o.slope.q**2 for o in objects)
-        self.prime = _next_prime_above(2 * self.norm)
         self.shrink = shrink
         n1 = len(objects) + 1
-        self.scale = 256 * n1**2 * self.norm**3 * self.prime * shrink
+        self.scale = 256 * n1**2 * self.norm**3 * shrink
         # offsets in units of 1/scale: curve i sits (2i+1)/(4(n+1)) off its
         # lattice line; a wave is opened by a gap of 1/(64(n+1)norm^2) at its
         # end corner and lies (i+1)/(256(n+1)^2 norm^3) normals off its seam,
         # both divided by shrink
-        self.gap = 4 * n1 * self.norm * self.prime
-        self._curve_unit = 64 * n1 * self.norm**3 * self.prime * shrink
+        self.gap = 4 * n1 * self.norm
+        self._curve_unit = 64 * n1 * self.norm**3 * shrink
 
     def curve_shift(self, index: int) -> int:
         """Curve index's offset from its lattice line, in units of 1/scale."""
@@ -377,10 +333,11 @@ class RealizationContext:
 
     def normal_shift(self, index: int) -> int:
         """Wave index's offset from its seam, in normals (p, -q) / scale."""
-        return (index + 1) * self.prime
+        return index + 1
 
     def scaled(self, factor: int) -> "RealizationContext":
-        """A context with all small offsets divided by factor (stability)."""
+        """A context with the wave offsets divided by factor (stability);
+        curve and seam positions do not depend on shrink."""
         return RealizationContext(self.objects, self.shrink * factor)
 
     def count(self, i: int, j: int) -> int:
@@ -468,10 +425,7 @@ def _fund_ends(obj: PieceObject) -> tuple[str | None, ...]:
 
 
 def cover_segments(
-    obj: PieceObject,
-    ctx: RealizationContext,
-    index: int,
-    anchor_shift: Fraction = Fraction(0),
+    obj: PieceObject, ctx: RealizationContext, index: int
 ) -> tuple[SegmentRep, ...]:
     """Plane segments projecting bijectively onto the torus-cover preimage.
 
@@ -479,14 +433,10 @@ def cover_segments(
     the full preimage in R^2/Z^2: the fundamental segment and its image
     under x -> -x (two loops for a curve, the two halves of one
     sigma-invariant loop for a seam, two truncated loops for a wave).  A
-    curve's anchor slides anchor_shift periods along the curve.
+    curve's segments are periods, read half open from their starts.
     """
-    L, q, p = ctx.scale, obj.slope.q, obj.slope.p
-    move = anchor_shift if obj.kind is ObjectKind.CURVE else 0
-    fund = [
-        (Fraction(x, L) + move * q, Fraction(y, L) + move * p)
-        for x, y in _fund(obj, ctx, index)
-    ]
+    L = ctx.scale
+    fund = [(Fraction(x, L), Fraction(y, L)) for x, y in _fund(obj, ctx, index)]
     return tuple(
         SegmentRep(*((s * x, s * y) for x, y in fund)) for s in _SIGNS[obj.piece]
     )
@@ -658,9 +608,15 @@ def _literal_count(
     y_obj: PieceObject,
     y_segments: Sequence[SegmentRep],
     piece: PieceKind,
+    closed: tuple[bool, bool],
     margin: int = 1,
 ) -> int:
-    """Crossings of x's cover with all integer translates of y's cover."""
+    """Crossings of x's cover with all integer translates of y's cover.
+
+    closed tells, for x and y, if the segments are closed-curve periods,
+    read half open; a hit at any other segment end raises.
+    """
+    x_closed, y_closed = closed
     x_labels = x_obj.realization_corner_labels()
     y_labels = y_obj.realization_corner_labels()
     total = 0
@@ -692,11 +648,12 @@ def _literal_count(
                             f"crossing of {x_obj} and {y_obj} at unshared "
                             f"cone point {label}"
                         )
-                    if u in (0, 1) or v in (0, 1):
+                    if (u in (0, 1) and not x_closed) or (v in (0, 1) and not y_closed):
                         raise DegenerateRealization(
                             f"crossing at a segment endpoint of {x_obj}/{y_obj}"
                         )
-                    total += 1
+                    if u != 1 and v != 1:
+                        total += 1
     return total
 
 
@@ -725,7 +682,11 @@ def literal_intersection_number(
     custom_x: Sequence[SegmentRep] | None = None,
     custom_y: Sequence[SegmentRep] | None = None,
 ) -> int:
-    """The literal-counter route, optionally on custom realizations."""
+    """The literal-counter route, optionally on custom realizations.
+
+    A canonical curve's periods are read half open, as by the kernel;
+    custom segments raise DegenerateRealization when hit at an end.
+    """
     if x.piece is not y.piece:
         raise ValueError("objects live on different pieces")
     if ctx is None:
@@ -734,40 +695,13 @@ def literal_intersection_number(
     iy = ctx.objects.index(y)
     if x == y and custom_x is None and custom_y is None:
         return 0
-    # Closed-curve anchors may coincide with translates of the other
-    # object's endpoints; slide each curve along itself (by multiples of
-    # 1/P for primes beyond every functional value) until nothing does.
-    p1 = ctx.prime
-    p2 = _next_prime_above(p1)
-    raw = None
-    last: DegenerateRealization | None = None
-    retryable = (custom_x is None and x.kind is ObjectKind.CURVE) or (
-        custom_y is None and y.kind is ObjectKind.CURVE
+    xs = cover_segments(x, ctx, ix) if custom_x is None else custom_x
+    ys = cover_segments(y, ctx, iy) if custom_y is None else custom_y
+    closed = (
+        custom_x is None and x.kind is ObjectKind.CURVE,
+        custom_y is None and y.kind is ObjectKind.CURVE,
     )
-    for attempt in range(20):
-        xs = (
-            list(custom_x)
-            if custom_x is not None
-            else list(
-                cover_segments(x, ctx, ix, anchor_shift=Fraction(attempt, p1))
-            )
-        )
-        ys = (
-            list(custom_y)
-            if custom_y is not None
-            else list(
-                cover_segments(y, ctx, iy, anchor_shift=Fraction(attempt, p2))
-            )
-        )
-        try:
-            raw = _literal_count(x, xs, y, ys, x.piece, margin=margin)
-            break
-        except DegenerateRealization as exc:
-            last = exc
-            if not retryable:
-                raise
-    if raw is None:
-        raise last  # pragma: no cover - shifts cannot all degenerate
+    raw = _literal_count(x, xs, y, ys, x.piece, closed, margin=margin)
     if x.piece is PieceKind.FOUR_HOLED_SPHERE:
         if raw % 2:
             raise AssertionError(f"odd cover count {raw} for {x} vs {y}")

@@ -1,7 +1,4 @@
-import bisect
 import itertools
-import math
-import random
 import time
 from fractions import Fraction
 
@@ -10,13 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fareyflats.orbifold import (
-    PRIME_SEARCH_LIMIT,
     DegenerateRealization,
     ObjectKind,
     PieceKind,
     RealizationContext,
     SegmentRep,
-    _next_prime_above,
     _strict_between_count,
     curve,
     endpoint_linking,
@@ -187,11 +182,13 @@ class TestRoutesAgree:
             assert inum(a, b) == literal_intersection_number(a, b)
 
     def test_anchor_collision_is_resolved(self):
-        # The first curve's anchor lies on the second curve; the kernel
-        # reads each period half open, so that crossing counts once, at t = 0.
-        assert inum(curve(S, Slope(-1, 1)), curve(S, Slope(4, 3))) == 2 * abs(
-            det(Slope(-1, 1), Slope(4, 3))
-        )
+        # The first curve's anchor lies on the second curve; the kernel and
+        # the literal counter read each period half open, so that crossing
+        # counts once, at t = 0.
+        a, b = curve(S, Slope(-1, 1)), curve(S, Slope(4, 3))
+        assert inum(a, b) == 2 * abs(det(Slope(-1, 1), Slope(4, 3)))
+        assert literal_intersection_number(a, b) == inum(a, b)
+        assert literal_intersection_number(b, a) == inum(a, b)
 
 
 class TestStability:
@@ -240,6 +237,17 @@ class TestTightness:
                 custom_x=diag,
             )
 
+    def test_custom_period_ending_on_a_curve_raises(self):
+        # The vertical curve sits on x = 1/4; a custom period of the
+        # horizontal curve from (1/4, 1/3) ends on it at both ends.  Custom
+        # segments are never read half open, so this is refused.
+        f = Fraction
+        period = [SegmentRep(a=(f(1, 4), f(1, 3)), b=(f(5, 4), f(1, 3)))]
+        with pytest.raises(DegenerateRealization):
+            literal_intersection_number(
+                curve(T, Slope(0, 1)), curve(T, Slope(1, 0)), custom_x=period
+            )
+
 
 class TestConfiguration:
     """Many objects realized together in one shared RealizationContext."""
@@ -252,6 +260,13 @@ class TestConfiguration:
             for j in range(i + 1, n):
                 pair = inum(mixed_objects[i], mixed_objects[j])
                 assert ctx.count(i, j) == ctx.count(j, i) == pair
+
+    def test_literal_counter_agrees_on_the_shared_context(self, mixed_objects):
+        # offsets of objects past the first two are checked only here
+        ctx = RealizationContext(mixed_objects)
+        for i, j in itertools.permutations(range(len(mixed_objects)), 2):
+            x, y = mixed_objects[i], mixed_objects[j]
+            assert literal_intersection_number(x, y, ctx) == ctx.count(i, j)
 
     def test_rejects_mixed_pieces(self):
         with pytest.raises(ValueError):
@@ -368,40 +383,11 @@ def test_curve_counts_invariant_under_unimodular_maps(a, b, m, piece):
     )
 
 
-def _is_prime_by_trial_division(k):
-    return k >= 2 and all(k % d for d in range(2, math.isqrt(k) + 1))
-
-
-def _trial_division_prime_above(n):
-    k = n + 1
-    while not _is_prime_by_trial_division(k):
-        k += 1
-    return k
-
-
 class TestPrimeSearch:
-    def test_agrees_with_trial_division_up_to_twenty_thousand(self):
-        primes = [k for k in range(20_100) if _is_prime_by_trial_division(k)]
-        for n in range(20_001):
-            assert _next_prime_above(n) == primes[bisect.bisect_right(primes, n)], n
-
-    def test_agrees_with_trial_division_on_large_seeded_n(self):
-        rng = random.Random(2013)
-        for n in [rng.randrange(10**k, 10 ** (k + 1)) for k in range(5, 12)] + [
-            rng.randrange(10**11, 10**12) for _ in range(5)
-        ]:
-            assert _next_prime_above(n) == _trial_division_prime_above(n), n
-
-    def test_searches_past_the_exact_bound_are_refused(self):
-        assert _next_prime_above(PRIME_SEARCH_LIMIT - 10**6) < PRIME_SEARCH_LIMIT
-        with pytest.raises(ValueError, match=str(PRIME_SEARCH_LIMIT)):
-            _next_prime_above(PRIME_SEARCH_LIMIT - 1)
+    """Contexts search no prime, so slopes of any size count at once."""
 
     def test_huge_coprime_curves_count_quickly(self):
-        n = 10**9
-        start = time.perf_counter()
-        assert inum(curve(T, Slope(1, n)), curve(T, Slope(1, n + 1))) == 1
-        assert time.perf_counter() - start < 0.5
-        n = 10**13  # 2*norm is past the bound: refused, not slowly searched
-        with pytest.raises(ValueError, match=str(PRIME_SEARCH_LIMIT)):
-            inum(curve(T, Slope(1, n)), curve(T, Slope(1, n + 1)))
+        for n in (10**9, 10**13, 10**40):
+            start = time.perf_counter()
+            assert inum(curve(T, Slope(1, n)), curve(T, Slope(1, n + 1))) == 1
+            assert time.perf_counter() - start < 0.5, n

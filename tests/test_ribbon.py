@@ -134,7 +134,7 @@ class TestCrossingWalks:
         events = _crossing_events(
             objs[0], [(a, b, _fund_ends(objs[0]))], objs[1], _fund(objs[1], ctx, 1), ctx
         )
-        assert [t_x for t_x, _, _ in events] == [(0, 6912)]
+        assert [t_x for t_x, _, _ in events] == [(0, ctx.scale)]
         assert neighborhood_boundary(objs) == neighborhood_boundary(
             objs, ctx=ctx.scaled(3)
         )
