@@ -33,26 +33,26 @@ locates each hit on the other's fundamental segment exactly.
 these events for two objects of a context on the torus cover and halves
 on the pillowcase (with an evenness check).  ``intersection_number``
 counts a pair through it; the ribbon walk builds its crossing graph from
-the events and checks their number against it.  A literal counter, which
-intersects segments with every integer translate over an explicit window
-in rational arithmetic, is kept as the independent oracle
-(``literal_intersection_number``, ``tightness_check``).  No determinant
-formula is assumed anywhere in this module.
+the events and checks their number against it.  A literal counter is
+kept as the independent oracle (``literal_intersection_number``,
+``tightness_check``): for each pair of segments it walks the integer
+columns of their Minkowski difference, where every lattice translate
+that meets is found by two floor divisions, so it costs the columns plus
+the crossings, in the same integer units and with no slope frame.  No
+determinant formula is assumed anywhere in this module.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cmp_to_key
 from typing import Sequence
 
 from .slopes import Slope, _extgcd, slopes_up_to
 
-Point = tuple[Fraction, Fraction]
+IntPoint = tuple[int, int]
 
 
 class PieceKind(Enum):
@@ -130,12 +130,6 @@ class PieceObject:
                 raise ValueError("a wave has one end corner and one 'over' corner")
             if partner_label(self.slope, self.endpoints[0]) != self.over:
                 raise ValueError("wave corners must be partners for its slope")
-
-    def realization_corner_labels(self) -> frozenset[str]:
-        """Corner labels the canonical realization actually passes through."""
-        if self.kind is ObjectKind.SEAM:
-            return frozenset(self.endpoints)
-        return frozenset()
 
     def sort_key(self):
         return (
@@ -279,17 +273,6 @@ class DegenerateRealization(Exception):
     """A crossing landed on a realization endpoint or unshared cone point."""
 
 
-@dataclass(frozen=True)
-class SegmentRep:
-    """One plane segment of a realization, from a to b."""
-
-    a: Point
-    b: Point
-
-    def direction(self) -> Point:
-        return (self.b[0] - self.a[0], self.b[1] - self.a[1])
-
-
 class RealizationContext:
     """Deterministic exact offsets for a family of coexisting objects.
 
@@ -369,17 +352,7 @@ class RealizationContext:
         return raw
 
 
-def _pt_add(a: Point, b: Point) -> Point:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _pt_scale(t: Fraction, a: Point) -> Point:
-    return (t * a[0], t * a[1])
-
-
 _SIGNS = {PieceKind.ONE_HOLED_TORUS: (1,), PieceKind.FOUR_HOLED_SPHERE: (1, -1)}
-
-IntPoint = tuple[int, int]
 
 
 def _corner_units(label: str, scale: int) -> IntPoint:
@@ -422,24 +395,6 @@ def _fund(
 def _fund_ends(obj: PieceObject) -> tuple[str | None, ...]:
     """Cone-point labels at the two ends of obj's fundamental segment."""
     return obj.endpoints if obj.kind is ObjectKind.SEAM else (None, None)
-
-
-def cover_segments(
-    obj: PieceObject, ctx: RealizationContext, index: int
-) -> tuple[SegmentRep, ...]:
-    """Plane segments projecting bijectively onto the torus-cover preimage.
-
-    On the torus the preimage is the object itself; on the pillowcase it is
-    the full preimage in R^2/Z^2: the fundamental segment and its image
-    under x -> -x (two loops for a curve, the two halves of one
-    sigma-invariant loop for a seam, two truncated loops for a wave).  A
-    curve's segments are periods, read half open from their starts.
-    """
-    L = ctx.scale
-    fund = [(Fraction(x, L), Fraction(y, L)) for x, y in _fund(obj, ctx, index)]
-    return tuple(
-        SegmentRep(*((s * x, s * y) for x, y in fund)) for s in _SIGNS[obj.piece]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -570,89 +525,100 @@ def _crossing_events(
 # literal counter
 
 
-def _cross(a: Point, b: Point) -> Fraction:
+def _cross(a: IntPoint, b: IntPoint) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _is_cone_point(pt: Point, piece: PieceKind) -> str | None:
-    """The cone-point label of a plane point, or None."""
-    if piece is PieceKind.ONE_HOLED_TORUS:
-        if pt[0].denominator == 1 and pt[1].denominator == 1:
-            return TORUS_MARK
-        return None
-    two = (2 * pt[0], 2 * pt[1])
-    if two[0].denominator == 1 and two[1].denominator == 1:
-        return f"{int(two[0]) % 2}{int(two[1]) % 2}"
-    return None
-
-
-def _segment_crossing(
-    s: SegmentRep, t: SegmentRep
-) -> tuple[Fraction, Fraction, Point] | None:
-    ds, dt = s.direction(), t.direction()
-    denom = _cross(ds, dt)
-    if denom == 0:
-        return None
-    diff = (t.a[0] - s.a[0], t.a[1] - s.a[1])
-    u = _cross(diff, dt) / denom
-    v = _cross(diff, ds) / denom
-    if u < 0 or u > 1 or v < 0 or v > 1:
-        return None
-    pt = _pt_add(s.a, _pt_scale(u, ds))
-    return u, v, pt
+def _j_bounds(n: int, a: int, den: int) -> tuple[int, int] | None:
+    """The integers j with 0 <= n - a*j <= den (den > 0) as a closed range
+    (lo, hi), empty when lo > hi; None when a == 0 and every j qualifies."""
+    if a < 0:  # the condition is the same for den - n and -a
+        n, a = den - n, -a
+    if a:
+        return -((den - n) // a), n // a
+    return None if 0 <= n <= den else (1, 0)
 
 
 def _literal_count(
     x_obj: PieceObject,
-    x_segments: Sequence[SegmentRep],
+    x_segments: Sequence[tuple[IntPoint, IntPoint]],
     y_obj: PieceObject,
-    y_segments: Sequence[SegmentRep],
-    piece: PieceKind,
+    y_segments: Sequence[tuple[IntPoint, IntPoint]],
+    unit: int,
     closed: tuple[bool, bool],
-    margin: int = 1,
 ) -> int:
-    """Crossings of x's cover with all integer translates of y's cover.
+    """Crossings of x's segments with every lattice translate of y's.
 
-    closed tells, for x and y, if the segments are closed-curve periods,
-    read half open; a hit at any other segment end raises.
+    Segments are (a, b) in units of 1/unit, so the deck lattice is
+    unit*Z^2, and unit is even.  For an x segment A -> B and a y segment
+    C -> D with den = cross(dX, dY) != 0, the translate v = unit*(i, j)
+    meets x where s = cross(C + v - A, dY) / den and
+    t = cross(C + v - A, dX) / den both lie in [0, 1]; such v fill the
+    parallelogram A - C + s*dX - t*dY.  Its integer columns i are walked,
+    and in each column both conditions are linear in j, so one floor
+    division per condition gives the whole interval of hits: the cost is
+    the number of columns plus the number of hits, not the area.
+
+    At each hit: a cone point (a multiple of unit on the torus, of unit/2
+    on the pillowcase) shared by both objects is no crossing, and any
+    other raises DegenerateRealization; so does a hit at an end of a
+    segment, unless closed tells (for x and for y) that the segments are
+    closed-curve periods, which are read half open: s = 1 or t = 1 is
+    the start of the next period and is not counted.
     """
     x_closed, y_closed = closed
-    x_labels = x_obj.realization_corner_labels()
-    y_labels = y_obj.realization_corner_labels()
+    # the cone points both realizations end at (None, for no cone point,
+    # is never a hit's label)
+    shared = set(_fund_ends(x_obj)) & set(_fund_ends(y_obj))
+    torus = x_obj.piece is PieceKind.ONE_HOLED_TORUS
+    cone = unit if torus else unit // 2
     total = 0
-    for xs in x_segments:
-        xlo = (min(xs.a[0], xs.b[0]), min(xs.a[1], xs.b[1]))
-        xhi = (max(xs.a[0], xs.b[0]), max(xs.a[1], xs.b[1]))
-        for ys in y_segments:
-            ylo = (min(ys.a[0], ys.b[0]), min(ys.a[1], ys.b[1]))
-            yhi = (max(ys.a[0], ys.b[0]), max(ys.a[1], ys.b[1]))
-            i_lo = math.floor(xlo[0] - yhi[0]) - margin
-            i_hi = math.ceil(xhi[0] - ylo[0]) + margin
-            j_lo = math.floor(xlo[1] - yhi[1]) - margin
-            j_hi = math.ceil(xhi[1] - ylo[1]) + margin
-            for i in range(i_lo, i_hi + 1):
-                for j in range(j_lo, j_hi + 1):
-                    shift: Point = (Fraction(i), Fraction(j))
-                    moved = SegmentRep(
-                        a=_pt_add(ys.a, shift), b=_pt_add(ys.b, shift)
-                    )
-                    hit = _segment_crossing(xs, moved)
-                    if hit is None:
-                        continue
-                    u, v, pt = hit
-                    label = _is_cone_point(pt, piece)
-                    if label is not None:
-                        if label in x_labels and label in y_labels:
+    for a, b in x_segments:
+        dx = (b[0] - a[0], b[1] - a[1])
+        for c, d in y_segments:
+            dy = (d[0] - c[0], d[1] - c[1])
+            den = _cross(dx, dy)
+            if den == 0:
+                continue  # parallel: no transversal crossing
+            sg = 1 if den > 0 else -1
+            den *= sg
+            m = cone * den
+            wx, wy = c[0] - a[0], c[1] - a[1]  # C - A; v adds unit*(i, j)
+            lo = min(0, dx[0]) + min(0, -dy[0]) - wx
+            hi = max(0, dx[0]) + max(0, -dy[0]) - wx
+            for i in range(-(-lo // unit), hi // unit + 1):
+                ws = wx + unit * i
+                # s*den = n_s - a_s*j and t*den = n_t - a_t*j
+                n_s, a_s = sg * (ws * dy[1] - wy * dy[0]), sg * unit * dy[0]
+                n_t, a_t = sg * (ws * dx[1] - wy * dx[0]), sg * unit * dx[0]
+                bounds = [
+                    r
+                    for r in (_j_bounds(n_s, a_s, den), _j_bounds(n_t, a_t, den))
+                    if r is not None
+                ]
+                for j in range(
+                    max(r[0] for r in bounds), min(r[1] for r in bounds) + 1
+                ):
+                    s_num, t_num = n_s - a_s * j, n_t - a_t * j
+                    # the hit times den, on the cone-point grid or not
+                    px, py = a[0] * den + s_num * dx[0], a[1] * den + s_num * dx[1]
+                    if px % m == 0 and py % m == 0:
+                        label = (
+                            TORUS_MARK if torus else f"{px // m % 2}{py // m % 2}"
+                        )
+                        if label in shared:
                             continue
                         raise DegenerateRealization(
                             f"crossing of {x_obj} and {y_obj} at unshared "
                             f"cone point {label}"
                         )
-                    if (u in (0, 1) and not x_closed) or (v in (0, 1) and not y_closed):
+                    if (s_num in (0, den) and not x_closed) or (
+                        t_num in (0, den) and not y_closed
+                    ):
                         raise DegenerateRealization(
                             f"crossing at a segment endpoint of {x_obj}/{y_obj}"
                         )
-                    if u != 1 and v != 1:
+                    if s_num != den and t_num != den:
                         total += 1
     return total
 
@@ -678,30 +644,49 @@ def literal_intersection_number(
     x: PieceObject,
     y: PieceObject,
     ctx: RealizationContext | None = None,
-    margin: int = 1,
-    custom_x: Sequence[SegmentRep] | None = None,
-    custom_y: Sequence[SegmentRep] | None = None,
+    custom_x: Sequence[tuple[tuple, tuple]] | None = None,
+    custom_y: Sequence[tuple[tuple, tuple]] | None = None,
 ) -> int:
     """The literal-counter route, optionally on custom realizations.
 
-    A canonical curve's periods are read half open, as by the kernel;
-    custom segments raise DegenerateRealization when hit at an end.
+    A custom realization is the object's whole torus-cover preimage, given
+    as segments (a, b) between rational points in lattice units (the deck
+    lattice is Z^2).  The counter's unit is then the lcm of ctx.scale and
+    their denominators.  A canonical curve's periods are read half open,
+    as by the kernel; custom segments raise DegenerateRealization when hit
+    at an end.
     """
     if x.piece is not y.piece:
         raise ValueError("objects live on different pieces")
     if ctx is None:
         ctx = RealizationContext((x, y))
-    ix = ctx.objects.index(x)
-    iy = ctx.objects.index(y)
     if x == y and custom_x is None and custom_y is None:
         return 0
-    xs = cover_segments(x, ctx, ix) if custom_x is None else custom_x
-    ys = cover_segments(y, ctx, iy) if custom_y is None else custom_y
+    unit = ctx.scale
+    for seg in (*(custom_x or ()), *(custom_y or ())):
+        for c in (*seg[0], *seg[1]):
+            unit *= (unit * c).denominator  # now a multiple of c's denominator
+    k = unit // ctx.scale
+
+    def segments(obj, custom):
+        if custom is not None:
+            return [
+                tuple(((unit * px).numerator, (unit * py).numerator) for px, py in seg)
+                for seg in custom
+            ]
+        a, b = _fund(obj, ctx, ctx.objects.index(obj))
+        return [
+            ((s * k * a[0], s * k * a[1]), (s * k * b[0], s * k * b[1]))
+            for s in _SIGNS[obj.piece]
+        ]
+
     closed = (
         custom_x is None and x.kind is ObjectKind.CURVE,
         custom_y is None and y.kind is ObjectKind.CURVE,
     )
-    raw = _literal_count(x, xs, y, ys, x.piece, closed, margin=margin)
+    raw = _literal_count(
+        x, segments(x, custom_x), y, segments(y, custom_y), unit, closed
+    )
     if x.piece is PieceKind.FOUR_HOLED_SPHERE:
         if raw % 2:
             raise AssertionError(f"odd cover count {raw} for {x} vs {y}")
@@ -712,16 +697,13 @@ def literal_intersection_number(
 def tightness_check(
     x: PieceObject,
     y: PieceObject,
-    custom_x: Sequence[SegmentRep] | None = None,
-    custom_y: Sequence[SegmentRep] | None = None,
-    margin: int = 1,
+    custom_x: Sequence[tuple[tuple, tuple]] | None = None,
+    custom_y: Sequence[tuple[tuple, tuple]] | None = None,
 ) -> dict:
     """Compare a literal count (possibly of custom realizations) with the
     canonical count; equality certifies the drawn position is tight."""
     canonical = intersection_number(x, y)
-    literal = literal_intersection_number(
-        x, y, margin=margin, custom_x=custom_x, custom_y=custom_y
-    )
+    literal = literal_intersection_number(x, y, custom_x=custom_x, custom_y=custom_y)
     return {
         "canonical": canonical,
         "literal": literal,
@@ -733,13 +715,13 @@ def tightness_check(
 # endpoint linking of torus arcs
 
 
-def _angle_cmp_from(base: Point):
+def _angle_cmp_from(base: IntPoint):
     """Strict ccw order starting just after the direction base."""
 
-    def dot(a: Point, b: Point) -> Fraction:
+    def dot(a: IntPoint, b: IntPoint) -> int:
         return a[0] * b[0] + a[1] * b[1]
 
-    def half(v: Point) -> int:
+    def half(v: IntPoint) -> int:
         c = _cross(base, v)
         if c > 0:
             return 0
@@ -749,7 +731,7 @@ def _angle_cmp_from(base: Point):
             return 0  # exactly opposite: angle pi, end of first half
         raise AssertionError("ray coincides with the reference ray")
 
-    def cmp(a: Point, b: Point) -> int:
+    def cmp(a: IntPoint, b: IntPoint) -> int:
         ha, hb = half(a), half(b)
         if ha != hb:
             return -1 if ha < hb else 1

@@ -76,10 +76,6 @@ class Slope:
     def is_infinity(self) -> bool:
         return self.q == 0
 
-    def direction(self) -> tuple[int, int]:
-        """Primitive direction vector (run, rise) = (q, p) of the slope."""
-        return (self.q, self.p)
-
     def sort_key(self) -> tuple[int, int, int]:
         return (self.height, self.q, self.p)
 

@@ -59,6 +59,41 @@ def gap_fixture(tmp_path):
     return str(path)
 
 
+def break_first_fixture(monkeypatch, name, wrong, fixture):
+    """Patch sweeps.name, a driver's own comparison, to answer wrong(answer)
+    on every call made for one fixture: the one of its first call, where
+    fixture(*args) names the fixture a call is made for.  Returns a list
+    that holds that name once the driver has run."""
+    real = getattr(sweeps, name)
+    first = []
+
+    def patched(*args):
+        here = fixture(*args)
+        if not first:
+            first.append(here)
+        answer = real(*args)
+        return wrong(answer) if here == first[0] else answer
+
+    monkeypatch.setattr(sweeps, name, patched)
+    return first
+
+
+def assert_one_violation(capsys, argv, first, named):
+    """The driver behind argv reports one violation, the broken fixture
+    (named(violation) == first[0]), exits 2, and renders it as text."""
+    code, report, _ = run_json(capsys, argv)
+    assert code == 2
+    assert report["pass"] is False
+    (violation,) = report["violations"]
+    assert named(violation) == first[0]
+    code, out, _ = run(capsys, [*argv, "--format", "text", "--no-timestamp"])
+    assert code == 2
+    lines = out.splitlines()
+    assert "pass: False" in lines
+    assert set(cli._render_text(violation, "violations[0]")) <= set(lines)
+    return violation
+
+
 class TestFareyCommands:
     def test_distance(self, capsys):
         code, report, _ = run_json(capsys, ["farey", "distance", "0/1", "1/0"])
@@ -288,6 +323,59 @@ class TestLemmasCommands:
         assert f"violations[0].s: {first['s']}" in lines
         assert f"violations[0].t: {first['t']}" in lines
         assert f"violations[{checked - 1}].holds: False" in lines
+
+    def test_linking_sweep_violation_exits_2_and_renders(self, capsys, monkeypatch):
+        first = break_first_fixture(
+            monkeypatch, "endpoint_linking", lambda linked: not linked,
+            lambda a, b: (str(a), str(b)),
+        )
+        argv = ["lemmas", "lk", "--height", "2"]
+        assert_one_violation(capsys, argv, first, lambda v: (v["a"], v["b"]))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lemmas", "prs", "--height", "1"],
+            ["lemmas", "prs", "--samples", "20", "--seed", "3", "--height", "6"],
+        ],
+        ids=["disjoint_projection_sweep", "disjoint_projection_suite"],
+    )
+    def test_disjoint_projection_violation_exits_2_and_renders(
+        self, capsys, monkeypatch, argv
+    ):
+        # distance sees two slopes only; the fixture is the last one _prs_case saw
+        seen = []
+        case = sweeps._prs_case
+        monkeypatch.setattr(
+            sweeps, "_prs_case", lambda s, b: seen.append((str(s), str(b))) or case(s, b)
+        )
+        first = break_first_fixture(
+            monkeypatch, "distance", lambda d: d + 2, lambda u, v: seen[-1]
+        )
+        assert_one_violation(capsys, argv, first, lambda v: (v["s"], v["b"]))
+
+    def test_move_suite_violation_exits_2_and_renders(self, capsys, monkeypatch):
+        # every witness of the fixture fails, whatever the boundary component
+        first = break_first_fixture(
+            monkeypatch, "_bound_holds", lambda holds: False,
+            lambda boundary, objects: [str(o) for o in objects],
+        )
+        argv = ["lemmas", "prt", "--samples", "5", "--seed", "1"]
+        assert_one_violation(
+            capsys, argv, first, lambda v: v["component"] + v["extras"]
+        )
+
+    def test_couple_trace_violation_exits_2_and_renders(self, capsys, monkeypatch):
+        # the first count a fixture makes is twin against seam
+        first = break_first_fixture(
+            monkeypatch, "intersection_number", lambda n: n + 1,
+            lambda twin, s: (str(twin), str(s)),
+        )
+        argv = ["lemmas", "sc", "--samples", "20", "--seed", "2"]
+        violation = assert_one_violation(
+            capsys, argv, first, lambda v: (v["twin"], v["s"])
+        )
+        assert violation["problems"] == ["twin crosses the seam"]
 
     def test_prs_defaults_to_exhaustive_sweep(self, capsys):
         code, report, _ = run_json(capsys, ["lemmas", "prs", "--height", "2"])

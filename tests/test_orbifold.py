@@ -11,7 +11,6 @@ from fareyflats.orbifold import (
     ObjectKind,
     PieceKind,
     RealizationContext,
-    SegmentRep,
     _strict_between_count,
     curve,
     endpoint_linking,
@@ -193,16 +192,13 @@ class TestRoutesAgree:
 
 class TestStability:
     def test_counts_survive_offset_shrinking(self, mixed_objects):
+        # scaled(k) moves only waves, so only pairs holding one are recounted
         for a, b in itertools.combinations(mixed_objects, 2):
+            if ObjectKind.WAVE not in (a.kind, b.kind):
+                continue
             ctx = RealizationContext((a, b))
             assert ctx.count(0, 1) == ctx.scaled(2).count(0, 1)
             assert ctx.count(0, 1) == ctx.scaled(5).count(0, 1)
-
-    def test_counts_survive_window_widening(self, mixed_objects):
-        for a, b in itertools.combinations(mixed_objects[:4], 2):
-            assert literal_intersection_number(
-                a, b, margin=1
-            ) == literal_intersection_number(a, b, margin=2)
 
 
 class TestTightness:
@@ -215,9 +211,9 @@ class TestTightness:
         # crosses each vertical line three times instead of once.
         f = Fraction
         zig = [
-            SegmentRep(a=(f(0), f(1, 3)), b=(f(2, 3), f(2, 5))),
-            SegmentRep(a=(f(2, 3), f(2, 5)), b=(f(1, 5), f(1, 2))),
-            SegmentRep(a=(f(1, 5), f(1, 2)), b=(f(1), f(1, 3))),
+            ((f(0), f(1, 3)), (f(2, 3), f(2, 5))),
+            ((f(2, 3), f(2, 5)), (f(1, 5), f(1, 2))),
+            ((f(1, 5), f(1, 2)), (f(1), f(1, 3))),
         ]
         report = tightness_check(
             curve(T, Slope(0, 1)), curve(T, Slope(1, 0)), custom_x=zig
@@ -229,7 +225,7 @@ class TestTightness:
     def test_degenerate_custom_realization_raises(self):
         # A custom arc through a corner it does not end at must be refused.
         f = Fraction
-        diag = [SegmentRep(a=(f(-1, 2), f(-1, 2)), b=(f(1, 2), f(1, 2)))]
+        diag = [((f(-1, 2), f(-1, 2)), (f(1, 2), f(1, 2)))]
         with pytest.raises(DegenerateRealization):
             literal_intersection_number(
                 curve(S, Slope(1, 1)),
@@ -242,7 +238,7 @@ class TestTightness:
         # horizontal curve from (1/4, 1/3) ends on it at both ends.  Custom
         # segments are never read half open, so this is refused.
         f = Fraction
-        period = [SegmentRep(a=(f(1, 4), f(1, 3)), b=(f(5, 4), f(1, 3)))]
+        period = [((f(1, 4), f(1, 3)), (f(5, 4), f(1, 3)))]
         with pytest.raises(DegenerateRealization):
             literal_intersection_number(
                 curve(T, Slope(0, 1)), curve(T, Slope(1, 0)), custom_x=period
@@ -316,7 +312,7 @@ def test_strict_between_count():
 
 
 @st.composite
-def piece_objects(draw, piece, kind, height=8):
+def piece_objects(draw, piece, kind, height=100):
     """A curve, seam (torus arc on the torus) or wave of height <= height."""
     slope = draw(st.sampled_from(slopes_up_to(height)))
     if kind == "curve":
@@ -333,6 +329,9 @@ KIND_PAIRS = [
     for a, b in itertools.combinations_with_replacement(kinds, 2)
 ]
 KIND_PAIR_IDS = [f"{piece.value}-{a}-{b}" for piece, a, b in KIND_PAIRS]
+# scaled(k) moves only waves, and waves live on the sphere
+WAVE_PAIRS = [pair for pair in KIND_PAIRS if "wave" in pair]
+WAVE_PAIR_IDS = [f"{piece.value}-{a}-{b}" for piece, a, b in WAVE_PAIRS]
 
 
 class TestKernelProperties:
@@ -346,7 +345,7 @@ class TestKernelProperties:
         y = data.draw(piece_objects(piece, ky))
         assert inum(x, y) == literal_intersection_number(x, y)
 
-    @pytest.mark.parametrize("piece, kx, ky", KIND_PAIRS, ids=KIND_PAIR_IDS)
+    @pytest.mark.parametrize("piece, kx, ky", WAVE_PAIRS, ids=WAVE_PAIR_IDS)
     @settings(max_examples=6, deadline=None)
     @given(data=st.data(), shrink=st.integers(2, 9))
     def test_matches_literal_counter_on_shrunk_offsets(
@@ -361,10 +360,11 @@ class TestKernelProperties:
 
 
 @st.composite
-def unimodular_matrices(draw):
-    """Short products of [[k, 1], [1, 0]] (determinant -1), generating GL2(Z)."""
+def unimodular_matrices(draw, length=3):
+    """Products of up to length matrices [[k, 1], [1, 0]] (determinant -1),
+    which generate GL2(Z)."""
     m0, m1, m2, m3 = 1, 0, 0, 1
-    for k in draw(st.lists(st.integers(-3, 3), max_size=3)):
+    for k in draw(st.lists(st.integers(-3, 3), max_size=length)):
         m0, m1, m2, m3 = m0 * k + m1, m0, m2 * k + m3, m2
     return (m0, m1, m2, m3)
 
@@ -391,3 +391,37 @@ class TestPrimeSearch:
             start = time.perf_counter()
             assert inum(curve(T, Slope(1, n)), curve(T, Slope(1, n + 1))) == 1
             assert time.perf_counter() - start < 0.5, n
+
+
+def _mapped(m, obj):
+    """The image of obj under the homeomorphism of its piece induced by m.
+
+    Slopes map by apply_unimodular; the plane acts on directions (q, p), so
+    by J*m*J with J the coordinate swap, and so corner ab goes to
+    ((m3*a + m2*b) mod 2)((m1*a + m0*b) mod 2).  The torus mark is fixed.
+    """
+    m0, m1, m2, m3 = m
+
+    def corner(label):
+        a, b = int(label[0]), int(label[1])
+        return f"{(m3 * a + m2 * b) % 2}{(m1 * a + m0 * b) % 2}"
+
+    u = apply_unimodular(m, obj.slope)
+    if obj.kind is ObjectKind.CURVE:
+        return curve(obj.piece, u)
+    if obj.piece is T:
+        return torus_arc(u)
+    if obj.kind is ObjectKind.SEAM:
+        return seam(S, u, tuple(map(corner, obj.endpoints)))
+    end, over = corner(obj.endpoints[0]), corner(obj.over)
+    return wave(seam(S, u, (end, over)), over)
+
+
+@pytest.mark.parametrize("piece, kx, ky", KIND_PAIRS, ids=KIND_PAIR_IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), m=unimodular_matrices(length=12))
+def test_counts_equivariant_under_unimodular_maps(piece, kx, ky, data, m):
+    # a matrix of determinant +-1 is a homeomorphism of both pieces
+    x = data.draw(piece_objects(piece, kx, height=6))
+    y = data.draw(piece_objects(piece, ky, height=6))
+    assert inum(_mapped(m, x), _mapped(m, y)) == inum(x, y)

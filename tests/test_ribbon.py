@@ -140,7 +140,12 @@ class TestCrossingWalks:
         )
 
     def test_smaller_offsets_leave_components_alone(self):
-        objs = [seam(S, Slope(0, 1)), seam(S, Slope(1, 0))]
+        # scaled(k) moves only waves; this one crosses the 0/1 seam once
+        objs = [
+            seam(S, Slope(0, 1)),
+            seam(S, Slope(1, 0)),
+            wave(seam(S, Slope(2, 1)), "10"),
+        ]
         base = neighborhood_boundary(objs)
         shrunk = neighborhood_boundary(
             objs, ctx=RealizationContext(objs).scaled(5)
