@@ -654,7 +654,8 @@ def literal_intersection_number(
     lattice is Z^2).  The counter's unit is then the lcm of ctx.scale and
     their denominators.  A canonical curve's periods are read half open,
     as by the kernel; custom segments raise DegenerateRealization when hit
-    at an end.
+    at an end.  On the pillowcase the preimage is invariant under x -> -x,
+    so a custom realization giving an odd cover count raises ValueError.
     """
     if x.piece is not y.piece:
         raise ValueError("objects live on different pieces")
@@ -689,6 +690,13 @@ def literal_intersection_number(
     )
     if x.piece is PieceKind.FOUR_HOLED_SPHERE:
         if raw % 2:
+            given = ("custom_x", custom_x), ("custom_y", custom_y)
+            custom = [name for name, c in given if c is not None]
+            if custom:
+                raise ValueError(
+                    f"{' or '.join(custom)} is not a sign-symmetric preimage: "
+                    f"odd cover count {raw} for {x} vs {y}"
+                )
             raise AssertionError(f"odd cover count {raw} for {x} vs {y}")
         return raw // 2
     return raw

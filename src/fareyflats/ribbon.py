@@ -13,16 +13,24 @@ configuration's realization context (see ``orbifold``).  The crossings
 are the events of orbifold's integer kernel, each located on both
 objects' fundamental segments together with the deck map between their
 charts; their number is checked against the context's ``count``.  A
-closed curve's segment is one period, half open at its anchor.  Each
-boundary component, arc or circle, is one orbit of the successor map on
-darts (directed edges).  Each step carries an affine deck map
-x -> +-x + t; crossing a closed curve's period seam composes a
-translation, and swinging around a cone point may compose a point
-reflection.  On the pillowcase the rotation at a fat vertex uses both
-lifts of every attached strand (the cone angle is pi, so a full upstairs
-turn is two downstairs turns); ray directions use the exact offset
-vectors of the strands, which the realization constants keep pairwise
-non-parallel.
+closed curve's segment is one period, half open at its anchor.
+
+The union is a graph whose faces are the orbits of one rotation system.
+Its darts (directed edges) are integers: dart 2e runs edge e forward and
+2e + 1 backward, so d ^ 1 reverses d.  Every node (a crossing, a welded
+cone point or a loose end) sorts its leaving rays counterclockwise once,
+and that order fills a successor table: a dart arriving at a node leaves
+along the ray just after its own reverse.  A crossing is a node with four
+rays and turns by the same rule as a cone point; a loose end has one ray
+and ends its arc.  Each boundary component, arc or circle, is one orbit
+of the table.  Each entry carries an affine chart map x -> +-x + t:
+crossing a closed curve's period seam composes a translation, and
+swinging around a cone point may compose a point reflection.  On the
+pillowcase a welded cone point also holds the second lift of every
+attached strand (the cone angle is pi, so a full upstairs turn is two
+downstairs turns); the walk leaves along a second lift but never arrives
+along one.  Ray directions use the exact offset vectors of the strands,
+which the realization constants keep pairwise non-parallel.
 """
 
 from __future__ import annotations
@@ -82,12 +90,18 @@ class AffineMap:
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         # (self o other)(x) = self(other(x))
+        if other is IDENTITY:
+            return self
+        if self is IDENTITY:
+            return other
         return AffineMap(
             sign=self.sign * other.sign,
             shift=_add(self.vec(other.shift), self.shift),
         )
 
     def inverse(self) -> "AffineMap":
+        if self is IDENTITY:
+            return self
         return AffineMap(sign=self.sign, shift=self.vec(_neg(self.shift)))
 
 
@@ -101,9 +115,7 @@ class _End:
     which: int  # 0 = segment start, 1 = segment end
     label: str
     corner_point: IntPoint  # conceptual cone-point lift in fund coordinates
-    strand_point: IntPoint  # actual segment endpoint
-    direction: IntPoint  # into the strand, away from the cone point
-    edge: tuple[int, bool] | None = None  # (edge id, leaves this end)
+    ray: IntPoint  # from the cone point along the strand
 
 
 def _object_ends(
@@ -112,18 +124,18 @@ def _object_ends(
     if obj.kind is ObjectKind.CURVE:
         return []
     a, b = seg
-    d = _sub(b, a)
     if obj.kind is ObjectKind.WAVE:
+        # a wave's ends sit off its corner by the normal offset and the gap
         lift0 = _corner_units(obj.endpoints[0], scale)
         far = _add(lift0, (scale * obj.slope.q, scale * obj.slope.p))
         return [
-            _End(0, obj.endpoints[0], lift0, a, d),
-            _End(1, obj.endpoints[0], far, b, _neg(d)),
+            _End(0, obj.endpoints[0], lift0, _sub(a, lift0)),
+            _End(1, obj.endpoints[0], far, _sub(b, far)),
         ]
     labels = obj.endpoints
     return [
-        _End(0, labels[0], a, a, d),
-        _End(1, labels[1], b, b, _neg(d)),
+        _End(0, labels[0], a, _sub(b, a)),
+        _End(1, labels[1], b, _sub(a, b)),
     ]
 
 
@@ -142,6 +154,14 @@ class BoundaryComponent:
 
 
 class _Walk:
+    """The fattened union as a dart table: decks[d] is the deck map dart d
+    crosses (the period translation on a curve's last edge, otherwise the
+    identity), and succ[d] = (next dart, chart map, loose end or None).
+
+    A node's ray is (dart, direction, chart), the chart mapping the dart's
+    fundamental chart into the node's; a crossing is charted as fund(i).
+    """
+
     def __init__(
         self,
         objects: Sequence[PieceObject],
@@ -155,26 +175,35 @@ class _Walk:
         # fundamental segments and their directions, in units of 1/ctx.scale
         self.segments = [_fund(o, ctx, i) for i, o in enumerate(self.objects)]
         self.dirs = [_sub(b, a) for a, b in self.segments]
-        # node tables: loose ends, and the ends attached at each welded label
-        self.crossings: list[dict] = []
-        self.terminals: list[_End] = []
-        self.fats: dict[str, list[_End]] = {lab: [] for lab in sorted(include_labels)}
-        # per-object ordered event list: (t, node_ref) with node_ref
-        # ("x", idx, side) side in {"i","j"} / ("t", idx) / ("f", label, att_idx)
-        self.timeline: list[list] = [[] for _ in self.objects]
-        self.edges: list[dict] = []
+        self.decks: list[AffineMap] = []
+        self.succ: list = []
+        # loose ends with the dart leaving each; curves crossing nothing;
+        # welded labels with nothing attached
+        self.loose: list[tuple[_End, int]] = []
+        self.loops: list[PieceObject] = []
+        self.bare: list[str] = []
 
     # -- construction ------------------------------------------------------
 
     def build(self):
-        self._find_crossings()
-        self._place_ends()
-        self._make_edges()
+        # per object: (t, its node's rays, chart, ray ahead, ray behind); a
+        # node is (rays, mirror or None, loose end or None)
+        timeline: list[list] = [[] for _ in self.objects]
+        nodes: list[tuple[list, AffineMap | None, _End | None]] = []
+        self._find_crossings(timeline, nodes)
+        self._place_ends(timeline, nodes)
+        self._make_edges(timeline)
+        self.succ = [None] * len(self.decks)
+        for rays, mirror, end in nodes:
+            self._rotate(rays, mirror, end)
+            if end is not None:
+                self.loose.append((end, rays[0][0]))
 
-    def _find_crossings(self):
+    def _find_crossings(self, timeline, nodes):
         """Crossings of fund(i) with the full preimage of each later object j.
 
-        Each event's deck maps fund(j) coordinates into fund(i)'s chart.
+        A crossing's chart is fund(i)'s; each event's deck maps fund(j)
+        coordinates into it.
         """
         n = len(self.objects)
         for i in range(n):
@@ -191,29 +220,43 @@ class _Walk:
                         f"{self.objects[j]} disagrees with the oracle {expected}"
                     )
                 for t_i, t_j, (sign, shift) in events:
-                    idx = len(self.crossings)
-                    self.crossings.append(
-                        {"i": i, "j": j, "deck": AffineMap(sign, shift)}
-                    )
-                    self.timeline[i].append((Fraction(*t_i), ("x", idx, "i")))
-                    self.timeline[j].append((Fraction(*t_j), ("x", idx, "j")))
+                    rays: list = []
+                    nodes.append((rays, None, None))
+                    deck = AffineMap(sign, shift)
+                    u, v = self.dirs[i], deck.vec(self.dirs[j])
+                    timeline[i].append((Fraction(*t_i), rays, IDENTITY, u, _neg(u)))
+                    timeline[j].append((Fraction(*t_j), rays, deck, v, _neg(v)))
 
-    def _place_ends(self):
+    def _place_ends(self, timeline, nodes):
+        """A loose end is a node of its own.  Welded ends join their cone
+        point's node, charted from the point; on the pillowcase that node
+        mirrors each strand by the point reflection x -> -x + 2c."""
+        torus, scale = self.piece is PieceKind.ONE_HOLED_TORUS, self.ctx.scale
+        cones: dict[str, tuple[IntPoint, list]] = {}
         for idx, obj in enumerate(self.objects):
-            for end in _object_ends(obj, self.segments[idx], self.ctx.scale):
-                t = Fraction(end.which)
-                if end.label in self.labels:
-                    att_list = self.fats[end.label]
-                    self.timeline[idx].append((t, ("f", end.label, len(att_list))))
-                    att_list.append(end)
+            for end in _object_ends(obj, self.segments[idx], scale):
+                if end.label not in self.labels:
+                    rays, chart = [], IDENTITY
+                    nodes.append((rays, None, end))
                 else:
-                    self.timeline[idx].append((t, ("t", len(self.terminals))))
-                    self.terminals.append(end)
+                    if end.label not in cones:
+                        c = (0, 0) if torus else _corner_units(end.label, scale)
+                        mirror = None if torus else AffineMap(-1, _add(c, c))
+                        cones[end.label] = (c, [])
+                        nodes.append((cones[end.label][1], mirror, None))
+                    c, rays = cones[end.label]
+                    chart = AffineMap(1, _sub(c, end.corner_point))
+                timeline[idx].append(
+                    (Fraction(end.which), rays, chart, end.ray, end.ray)
+                )
+        self.bare = sorted(self.labels - cones.keys())
 
-    def _make_edges(self):
+    def _make_edges(self, timeline):
+        """Cut each strand at its nodes into edges; edge e adds its two
+        darts, each leaving one node along one ray."""
         for idx, obj in enumerate(self.objects):
-            events = sorted(self.timeline[idx], key=lambda e: e[0])
-            params = [t for t, _ in events]
+            events = sorted(timeline[idx], key=lambda e: e[0])
+            params = [e[0] for e in events]
             if len(set(params)) != len(params):
                 raise DegenerateRealization(
                     "three strands meet at one point; the walk needs a "
@@ -221,181 +264,96 @@ class _Walk:
                 )
             if obj.kind is ObjectKind.CURVE:
                 if not events:
-                    continue  # isolated loop, handled separately
-                w = self.dirs[idx]
-                for k in range(len(events)):
-                    nxt = (k + 1) % len(events)
-                    wrap = nxt == 0
-                    self._add_edge(
-                        events[k],
-                        events[nxt],
-                        deck=AffineMap(1, w) if wrap else IDENTITY,
-                    )
+                    self.loops.append(obj)
+                    continue
+                after = events[1:] + events[:1]  # the last edge wraps a period
+            elif len(events) < 2:
+                raise AssertionError("open object with fewer than two ends")
             else:
-                if len(events) < 2:
-                    raise AssertionError("open object with fewer than two ends")
-                for k in range(len(events) - 1):
-                    self._add_edge(events[k], events[k + 1], deck=IDENTITY)
+                after = events[1:]
+            wrap = AffineMap(1, self.dirs[idx])
+            for k, (here, there) in enumerate(zip(events, after)):
+                _, out, out_chart, ahead_ray, _ = here
+                _, back, back_chart, _, behind_ray = there
+                deck = wrap if k == len(events) - 1 else IDENTITY
+                dart = len(self.decks)
+                self.decks += [deck, deck.inverse()]
+                out.append((dart, ahead_ray, out_chart))
+                back.append((dart + 1, behind_ray, back_chart))
 
-    def _add_edge(self, ev_from, ev_to, deck: AffineMap):
-        edge_id = len(self.edges)
-        self.edges.append({"from": ev_from[1], "to": ev_to[1], "deck": deck})
-        self._register(ev_from[1], edge_id, outgoing=True)
-        self._register(ev_to[1], edge_id, outgoing=False)
-
-    def _register(self, node_ref, edge_id: int, outgoing: bool):
-        kind = node_ref[0]
-        if kind == "x":
-            node = self.crossings[node_ref[1]]
-            side = node_ref[2]
-            key = f"{side}{'+' if outgoing else '-'}"
-            if key in node:
-                raise AssertionError("crossing slot filled twice")
-            node[key] = edge_id
-        elif kind == "t":
-            self.terminals[node_ref[1]].edge = (edge_id, outgoing)
-        else:
-            self.fats[node_ref[1]][node_ref[2]].edge = (edge_id, outgoing)
+    def _rotate(self, rays, mirror, end):
+        """Point each dart arriving at a node at the ray counterclockwise
+        after its reverse; the walk never arrives along a second lift."""
+        lifts = list(rays)
+        if mirror is not None:
+            lifts += [(d, mirror.vec(v), mirror.compose(chart)) for d, v, chart in rays]
+        cmp = _angle_cmp_from(lifts[0][1])
+        by_angle = cmp_to_key(lambda a, b: cmp(lifts[a][1], lifts[b][1]))
+        order = [0] + sorted(range(1, len(lifts)), key=by_angle)
+        for k, idx in enumerate(order):
+            if idx >= len(rays):
+                continue
+            dart, _, chart = rays[idx]
+            nxt, _, out = lifts[order[(k + 1) % len(order)]]
+            arriving = dart ^ 1
+            if self.succ[arriving] is not None:
+                raise AssertionError("successor of a dart written twice")
+            self.succ[arriving] = (
+                nxt,
+                self.decks[arriving].compose(chart.inverse()).compose(out),
+                end,
+            )
 
     # -- tracing -----------------------------------------------------------
 
-    def _next_from_crossing(self, node, enter_side: str, arriving_dir: int, phi_i):
-        """Rotate at a 4-valent crossing; phi_i maps fund(i)'s chart out."""
-        i_dir = self.dirs[node["i"]]
-        j_dir_local = node["deck"].vec(self.dirs[node["j"]])
-        slots = {
-            "i+": i_dir,
-            "i-": _neg(i_dir),
-            "j+": j_dir_local,
-            "j-": _neg(j_dir_local),
-        }
-        enter_key = f"{enter_side}{'-' if arriving_dir > 0 else '+'}"
-        # The reverse ray points back along the strand we arrived on.
-        base = slots[enter_key]
-        others = [(k, v) for k, v in slots.items() if k != enter_key]
-        cmp = _angle_cmp_from(base)
-        others.sort(key=cmp_to_key(lambda a, b: cmp(a[1], b[1])))
-        out_key = others[0][0]
-        edge_id = node[out_key]
-        outgoing = out_key.endswith("+")
-        new_phi = phi_i if out_key[0] == "i" else phi_i.compose(node["deck"])
-        return edge_id, (1 if outgoing else -1), new_phi
-
-    def _next_from_fat(self, label: str, att_idx: int, phi):
-        """Swing around a cone point; phi maps the arriving fund chart out."""
-        fat = self.fats[label]
-        c0 = (
-            (0, 0)
-            if self.piece is PieceKind.ONE_HOLED_TORUS
-            else _corner_units(label, self.ctx.scale)
-        )
-        branches = (0,) if self.piece is PieceKind.ONE_HOLED_TORUS else (0, 1)
-        rays = []
-        for k, att in enumerate(fat):
-            offset = _sub(att.strand_point, att.corner_point)
-            rvec = att.direction if offset == (0, 0) else offset
-            translate = AffineMap(1, _sub(c0, att.corner_point))
-            for b in branches:
-                if b == 0:
-                    rays.append((k, b, rvec, translate))
-                else:
-                    flip = AffineMap(-1, _add(c0, att.corner_point))
-                    rays.append((k, b, _neg(rvec), flip))
-        enter = next(r for r in rays if r[0] == att_idx and r[1] == 0)
-        # chart map: the arriving strand is identified with its translate
-        # lift; either lift gives the same downstairs walk.
-        chart = phi.compose(enter[3].inverse())
-        others = [r for r in rays if r[:2] != enter[:2]]
-        if not others:
-            # single torus attachment: full turn, come back along the
-            # other side of the same strand.
-            out = enter
-        else:
-            cmp = _angle_cmp_from(enter[2])
-            others.sort(key=cmp_to_key(lambda a, b: cmp(a[2], b[2])))
-            out = others[0]
-        edge_id, outgoing = fat[out[0]].edge
-        return edge_id, (1 if outgoing else -1), chart.compose(out[3])
-
-    def _step(self, edge_id: int, direction: int, phi: AffineMap):
-        """Traverse an edge, then turn at the node reached."""
-        edge = self.edges[edge_id]
-        deck = edge["deck"] if direction > 0 else edge["deck"].inverse()
-        phi = phi.compose(deck)
-        node_ref = edge["to"] if direction > 0 else edge["from"]
-        kind = node_ref[0]
-        if kind == "t":
-            return ("end", node_ref[1], phi)
-        if kind == "x":
-            node = self.crossings[node_ref[1]]
-            side = node_ref[2]
-            phi_i = phi if side == "i" else phi.compose(node["deck"].inverse())
-            nxt_edge, nxt_dir, phi_i = self._next_from_crossing(
-                node, side, direction, phi_i
-            )
-            return ("go", (nxt_edge, nxt_dir), phi_i)
-        _, label, att_idx = node_ref
-        nxt_edge, nxt_dir, new_phi = self._next_from_fat(label, att_idx, phi)
-        return ("go", (nxt_edge, nxt_dir), new_phi)
-
-    def _orbit(self, visited: set[tuple[int, int]], dart, closed: bool):
-        """Follow the successor map from dart, marking darts visited, until
-        an arc falls off a loose end or a closed walk is back at dart;
-        returns (that end's index or None, the chart map, darts walked)."""
-        start, phi, count = dart, IDENTITY, 0
+    def _orbit(self, visited: set[int], start: int):
+        """Follow succ from start, marking darts visited, until the walk
+        falls off a loose end or is back at start; returns (that end or
+        None, the chart map, darts walked)."""
+        dart, phi, count = start, IDENTITY, 0
         while True:
             if dart in visited:
                 raise AssertionError("dart reused across boundary walks")
             visited.add(dart)
             count += 1
-            state = self._step(dart[0], dart[1], phi)
-            if state[0] == "end":
-                if closed:
-                    raise AssertionError("closed walk fell off an end")
-                return state[1], state[2], count
-            dart, phi = state[1], state[2]
-            if closed and dart == start:
-                return None, phi, count
+            dart, step, end = self.succ[dart]
+            phi = phi.compose(step)
+            if end is not None or dart == start:
+                return end, phi, count
 
     def trace(self) -> list[BoundaryComponent]:
-        visited: set[tuple[int, int]] = set()
+        visited: set[int] = set()
         components: list[BoundaryComponent] = []
 
-        for start in self.terminals:
-            edge_id, outgoing = start.edge
-            dart = (edge_id, 1 if outgoing else -1)
+        for start, dart in self.loose:
             if dart not in visited:
-                end, phi, count = self._orbit(visited, dart, closed=False)
-                components.append(
-                    self._classify_arc(start, self.terminals[end], phi, count)
-                )
+                end, phi, count = self._orbit(visited, dart)
+                components.append(self._classify_arc(start, end, phi, count))
 
         # isolated closed loops: two parallel copies each
-        for idx, obj in enumerate(self.objects):
-            if obj.kind is ObjectKind.CURVE and not self.timeline[idx]:
-                comp = BoundaryComponent(
-                    kind="curve", object=curve(self.piece, obj.slope), labels=(),
-                    dart_count=0,
-                )
-                components.extend([comp, comp])
+        for obj in self.loops:
+            comp = BoundaryComponent(
+                kind="curve", object=curve(self.piece, obj.slope), labels=(),
+                dart_count=0,
+            )
+            components.extend([comp, comp])
 
         # remaining darts belong to closed components
-        for edge_id in range(len(self.edges)):
-            for dart in ((edge_id, 1), (edge_id, -1)):
-                if dart not in visited:
-                    _, phi, count = self._orbit(visited, dart, closed=True)
-                    components.append(self._classify_closed(phi, count))
+        for dart in range(len(self.succ)):
+            if dart not in visited:
+                end, phi, count = self._orbit(visited, dart)
+                if end is not None:
+                    raise AssertionError("closed walk fell off an end")
+                components.append(self._classify_closed(phi, count))
 
         # cone points included but with nothing attached bound their own
         # parallel circle
-        for label, attached in self.fats.items():
-            if not attached:
-                components.append(
-                    BoundaryComponent(
-                        kind="inessential", object=None, labels=(label,),
-                        dart_count=0,
-                    )
+        for label in self.bare:
+            components.append(
+                BoundaryComponent(
+                    kind="inessential", object=None, labels=(label,), dart_count=0
                 )
+            )
         return sorted(components, key=BoundaryComponent.sort_key)
 
     # -- classification ----------------------------------------------------

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from fareyflats.orbifold import (
     CORNER_LABELS,
-    TORUS_MARK,
     DegenerateRealization,
     PieceKind,
     RealizationContext,
@@ -123,7 +122,8 @@ class TestCrossingWalks:
         walk = _Walk(objs, frozenset(), ctx)
         walk.build()
         comps = walk.trace()
-        assert sum(c.dart_count for c in comps) == 2 * len(walk.edges)
+        assert len(walk.succ) == len(walk.decks) > 0
+        assert sum(c.dart_count for c in comps) == len(walk.decks)
 
     def test_crossing_at_a_curve_anchor_is_walked_at_t_zero(self):
         # the 0/1 curve's anchor (0, -1/12) lies on the vertical torus arc:
@@ -135,9 +135,8 @@ class TestCrossingWalks:
             objs[0], [(a, b, _fund_ends(objs[0]))], objs[1], _fund(objs[1], ctx, 1), ctx
         )
         assert [t_x for t_x, _, _ in events] == [(0, ctx.scale)]
-        assert neighborhood_boundary(objs) == neighborhood_boundary(
-            objs, ctx=ctx.scaled(3)
-        )
+        comps = neighborhood_boundary(objs, ctx=ctx)
+        assert objects_of(comps) == [torus_arc(Slope(0, 1))] * 2
 
     def test_smaller_offsets_leave_components_alone(self):
         # scaled(k) moves only waves; this one crosses the 0/1 seam once
@@ -152,36 +151,66 @@ class TestCrossingWalks:
         )
         assert base == shrunk
 
+    @pytest.mark.xfail(
+        strict=True, reason="a wave ending on a hole another wave encloses counts 0"
+    )
+    @pytest.mark.parametrize(
+        "objs, labels",
+        [
+            (
+                # wave(1/0; at 00 over 01) ends on hole 00, which
+                # wave(-1/1; at 11 over 00) goes over: the walk bounds
+                # curve(1/0), which crosses the second wave twice
+                [
+                    wave(seam(S, Slope(1, 0), ("00", "01")), "01"),
+                    wave(seam(S, Slope(-1, 1), ("00", "11")), "00"),
+                ],
+                ["00", "11"],
+            ),
+            (
+                # each wave ends on the hole the other goes over: the walk
+                # raises "non-primitive boundary class"
+                [
+                    wave(seam(S, Slope(-2, 1), ("01", "11")), "01"),
+                    wave(seam(S, Slope(0, 1), ("01", "11")), "11"),
+                    seam(S, Slope(1, 0), ("00", "01")),
+                ],
+                ["01"],
+            ),
+        ],
+    )
+    def test_wave_ending_inside_another_wave_is_walked(self, objs, labels):
+        for comp in neighborhood_boundary(objs, labels):
+            if comp.object is not None:
+                for source in objs:
+                    assert intersection_number(comp.object, source) == 0
+
     def test_walk_output_is_deterministic(self):
         objs = [torus_arc(Slope(-1, 1)), torus_arc(Slope(1, 1))]
         assert neighborhood_boundary(objs) == neighborhood_boundary(objs)
 
 
 @st.composite
-def unions_with_a_curve(draw, height=6):
-    """1-3 distinct objects on one piece, at least one of them a curve, in
-    any order, and a set of welded labels."""
-    piece = draw(st.sampled_from((T, S)))
+def sphere_unions_with_a_curve_and_a_wave(draw, height=6):
+    """A curve, a wave and at most one more object on the pillowcase, in
+    any order, and a set of welded labels; scaled(k) moves the wave."""
     slopes = st.sampled_from(slopes_up_to(height))
-    objs = [curve(piece, draw(slopes))]
-    for _ in range(draw(st.integers(0, 2))):
+
+    def seam_or_wave(kind):
         slope = draw(slopes)
-        kind = draw(st.integers(0, 1 if piece is T else 2))
-        if kind == 0:
-            objs.append(curve(piece, slope))
-        elif piece is T:
-            objs.append(torus_arc(slope))
-        else:
-            s = seam(S, slope, seam_pairs(slope)[draw(st.integers(0, 1))])
-            over = s.endpoints[draw(st.integers(0, 1))]
-            objs.append(s if kind == 1 else wave(s, over))
+        s = seam(S, slope, seam_pairs(slope)[draw(st.integers(0, 1))])
+        return s if kind == 1 else wave(s, s.endpoints[draw(st.integers(0, 1))])
+
+    objs = [curve(S, draw(slopes)), seam_or_wave(2)]
+    for _ in range(draw(st.integers(0, 1))):
+        kind = draw(st.integers(0, 2))
+        objs.append(curve(S, draw(slopes)) if kind == 0 else seam_or_wave(kind))
     assume(len(set(objs)) == len(objs))
-    labels = (TORUS_MARK,) if piece is T else CORNER_LABELS
-    return draw(st.permutations(objs)), draw(st.sets(st.sampled_from(labels)))
+    return draw(st.permutations(objs)), draw(st.sets(st.sampled_from(CORNER_LABELS)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(union=unions_with_a_curve(), factor=st.integers(2, 7))
+@given(union=sphere_unions_with_a_curve_and_a_wave(), factor=st.integers(2, 7))
 def test_curve_unions_walk_as_on_shrunk_offsets(union, factor):
     objs, labels = union
     try:
