@@ -62,38 +62,36 @@ GRAPH_VERTEX_BUDGET = 200_000
 # it refuses more pairs than this (n = 3 at window 5 has 885,115 pairs).
 CERTIFY_PAIR_BUDGET = 1_000_000
 
-# The exhaustive ``lemmas int``, ``lk`` and ``prs`` sweeps visit every pair of
-# objects built from the n slopes of height <= H: int pairs n arcs (torus)
-# and 2n seams (sphere) with each other and with the n curves, lk pairs the
-# n torus arcs, and prs pairs the 2n seams with n curves, 2n seams and 4n
-# waves.  A height whose pair count exceeds this budget is refused (int
-# admits H <= 18, lk H <= 33, prs H <= 14; int costs about 65 us a pair).
-SWEEP_PAIR_BUDGET = 1_000_000
-SWEEP_PAIRS = {
-    "int": lambda n: n * (n - 1) // 2 + n * n + n * (2 * n - 1) + 2 * n * n,
-    "lk": lambda n: n * (n - 1) // 2,
-    "prs": lambda n: 14 * n * n,
-}
-
 # The seeded suites (``lemmas prs|prt|ml|sc --samples``, ``scenario
 # orthogonality --count``) refuse more samples than this.
 SAMPLE_BUDGET = 50_000
 
-# A ``lemmas ml`` or ``sc`` sample costs more as the pool of N = 1 + H(2H + 1)
-# slopes grows (the other suites take 0.1-0.9 ms a sample at any height).
-# Measured on a 2-vCPU machine with Python 3.11: ml 0.8-1.0, 2.3-4.5, 47-62
-# and 179 ms a sample at heights 5, 20, 80 and 200 (about 870 ms at 315), and
-# sc 0.22, 0.32, 1.9-2.2 and 14-19 ms.  SUITES models these in microseconds
-# over N, above every figure, and a run modelled past 100 s is refused.
-SUITE_WORK_BUDGET = 100_000_000
+# The exhaustive sweeps and the ml and sc suites model a run as its units of
+# work times the us a unit took (the highest of 3 or more in-process runs at
+# the small inputs named below, rounded up; 2-vCPU machine, Python 3.11.7) and
+# refuse a run modelled past 100 s.  The largest admitted runs took 46-96 s.
+WORK_BUDGET = 100_000_000
 
-# command -> driver in sweeps; prs sweeps to height 4 unless told
-SWEEPS = dict(int="identity_sweep", lk="linking_sweep", prs="disjoint_projection_sweep")
-# command -> (driver in sweeps, default --height, us a sample over N or None)
+# command -> (driver in sweeps, pairs it visits among the n slopes of height
+# <= H, us a pair).  int pairs n arcs (torus) and 2n seams (sphere) with each
+# other and with the n curves, lk pairs the n torus arcs, and prs pairs the 2n
+# seams with n curves, 2n seams and 4n waves.  A pair took 43-50 us for int
+# (heights 6 and 8), 7.8-9.7 us for lk (8, 12) and 16-31 us for prs (4, 6).
+SWEEPS = {
+    "int": ("identity_sweep",
+            lambda n: n * (n - 1) // 2 + n * n + n * (2 * n - 1) + 2 * n * n, 50),
+    "lk": ("linking_sweep", lambda n: n * (n - 1) // 2, 10),
+    "prs": ("disjoint_projection_sweep", lambda n: 14 * n * n, 31),
+}
+# command -> (driver in sweeps, default --height, us a sample over the N =
+# 1 + H(2H + 1) slopes up to H, or None).  An ml sample took 0.5-1.4, 3.1-3.5
+# and 18-25 ms at heights 5, 20 and 80, an sc sample 0.17-0.20, 0.52-0.58 and
+# 8.4-11 ms at 8, 40 and 200.  The other suites and ``scenario orthogonality``
+# have no model: under 0.4 ms a sample up to height 315, 20 s at SAMPLE_BUDGET.
 SUITES = {
     "prs": ("disjoint_projection_suite", 8, None),
     "prt": ("torus_move_suite", 5, None),
-    "ml": ("sphere_move_suite", 5, lambda n: 1_000 + 5 * n),
+    "ml": ("sphere_move_suite", 5, lambda n: 1_100 + 5 * n),
     "sc": ("couple_trace_suite", 8, lambda n: 250 + n // 3),
 }
 
@@ -182,13 +180,10 @@ def _cmd_farey_check_subgraph(args) -> Result:
     if args.center.height > args.height:
         raise CliError("--height must cover the center")
     host = build_ball(args.center, args.ball_radius, args.height)
-    stray = set(sub.vertices) - set(host.vertices)
-    if stray:
-        raise CliError(
-            "subgraph vertices outside the host ball "
-            f"(e.g. {next(iter(stray))}); raise --ball-radius or --height"
-        )
-    report = check_subgraph(sub, host)
+    try:
+        report = check_subgraph(sub, host)
+    except ValueError as exc:
+        raise CliError(f"{exc}; raise --ball-radius or --height") from None
     return Result(report, passed=report["passed"])
 
 
@@ -199,7 +194,7 @@ def _cmd_lemmas(args) -> Result:
                 "--seed only applies to the seeded suite, which --samples N "
                 "selects; without --samples, prs runs the exhaustive sweep"
             )
-        report = getattr(sweeps, SWEEPS[args.command])(_height(args, 4))
+        report = getattr(sweeps, SWEEPS[args.command][0])(_height(args, 4))
     else:
         driver, height, _ = SUITES[args.command]
         seed = 0 if args.seed is None else args.seed
@@ -284,7 +279,7 @@ def _cmd_flats_certify(args) -> Result:
     try:
         report = certify_flat(emb, args.window)
     except ValueError as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(f"{exc}; shrink --window") from None
     return Result(report, passed=report["passed"])
 
 
@@ -310,18 +305,16 @@ def _cmd_flats_rank(args) -> Result:
 
 def _cmd_flats_export(args) -> Result:
     emb = default_embedding(args.n)
-    for idx, line in enumerate(emb.lines):
-        if line.lo > -args.window or line.hi < args.window:
-            raise CliError(
-                f"line {idx} only covers [{line.lo}, {line.hi}]; "
-                "shrink --window"
-            )
+    try:
+        dot = flat_to_dot(emb, args.window)
+    except ValueError as exc:
+        raise CliError(f"{exc}; shrink --window") from None
     report = {
         "rank": emb.rank,
         "window": args.window,
         "lines": [line.to_json_dict() for line in emb.lines],
     }
-    return Result(report, dot=flat_to_dot(emb, args.window))
+    return Result(report, dot=dot)
 
 
 # ---------------------------------------------------------------------------
@@ -343,19 +336,19 @@ def _geodesics_cost(args):
 
 
 def _lemmas_cost(args):
-    """A sweep (int, lk, and prs without --samples) counts its pairs as the
-    pool gains 4*phi(k) slopes at height k, stopping at the first height past
-    the budget, whatever height was asked.  A suite counts its samples."""
+    """A sweep (int, lk, and prs without --samples) models the work of its
+    pairs as the pool gains 4*phi(k) slopes at height k, stopping at the first
+    height past the budget, whatever height was asked.  A suite counts samples."""
     if vars(args).get("samples") is None:
+        _, pairs, per_pair = SWEEPS[args.command]
         height = _height(args, 4)
-        n = pairs = 0
+        n = work = 0
         for k in range(1, height + 1):
             n += 4 * sum(1 for j in range(1, k + 1) if gcd(j, k) == 1)
-            pairs = SWEEP_PAIRS[args.command](n)
-            if pairs > SWEEP_PAIR_BUDGET:
+            work = pairs(n) * per_pair
+            if work > WORK_BUDGET:
                 break
-        what = f"--height {height} (pairs the {args.command} sweep visits)"
-        yield what, pairs, SWEEP_PAIR_BUDGET
+        yield f"--height {height} (modelled us of work)", work, WORK_BUDGET
         return
     _, height, per_sample = SUITES[args.command]
     yield from _suite_cost("--samples", args.samples, _height(args, height), per_sample)
@@ -366,7 +359,7 @@ def _suite_cost(flag: str, samples: int, height: int, per_sample=None):
     yield from _height_cost(height)
     if per_sample:
         what = f"{flag} {samples} at --height {height} (modelled us of work)"
-        yield what, samples * per_sample(_pool(height)), SUITE_WORK_BUDGET
+        yield what, samples * per_sample(_pool(height)), WORK_BUDGET
 
 
 def _flat_cost(args):

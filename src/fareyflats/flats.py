@@ -176,6 +176,13 @@ class LatticeEmbedding:
             raise ValueError("wrong rank")
         return tuple(line.point(i) for line, i in zip(self.lines, x))
 
+    def check_cover(self, window: int) -> None:
+        """Raise ValueError unless every line covers [-window, window]."""
+        for idx, line in enumerate(self.lines):
+            if line.lo > -window or line.hi < window:
+                msg = f"line {idx} window [{line.lo},{line.hi}] too small for {window}"
+                raise ValueError(msg)
+
 
 def search_geodesic_line(
     half_length: int, seed_pair: tuple[Slope, Slope], height_cap: int = 512
@@ -262,13 +269,10 @@ def certify_flat(embedding: LatticeEmbedding, window: int) -> dict:
     n = embedding.rank
     if window < 1:
         raise ValueError("window must be positive")
+    embedding.check_cover(window)
     factor_reports = []
     rows: list[list[list[int]]] = []
     for idx, line in enumerate(embedding.lines):
-        if line.lo > -window or line.hi < window:
-            raise ValueError(
-                f"line {idx} window [{line.lo},{line.hi}] too small for {window}"
-            )
         ok, witness = line.check_window()
         factor_reports.append(
             {"line": idx, "geodesic": ok, "witness": witness}
@@ -408,6 +412,7 @@ def subproduct_total_geodesy(
 
 def flat_to_dot(embedding: LatticeEmbedding, window: int) -> str:
     """The window's grid graph; product edges are exactly the grid edges."""
+    embedding.check_cover(window)
     n = embedding.rank
     lines = ["graph flat {"]
     for x in product(range(-window, window + 1), repeat=n):

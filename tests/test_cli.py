@@ -256,10 +256,10 @@ class TestLemmasCommands:
             ["lemmas", "int", "--height", "0"],
             ["lemmas", "lk", "--height", "-2"],
             ["lemmas", "prs", "--height", "0"],
-            ["lemmas", "int", "--height", "19"],
+            ["lemmas", "int", "--height", "23"],
             ["lemmas", "int", "--height", "40"],
-            ["lemmas", "lk", "--height", "34"],
-            ["lemmas", "prs", "--height", "15"],
+            ["lemmas", "lk", "--height", "61"],
+            ["lemmas", "prs", "--height", "20"],
             ["lemmas", "prs", "--height", "1000000000000"],
         ],
     )
@@ -270,27 +270,28 @@ class TestLemmasCommands:
         assert "fareyflats: error: --height " in err and "out of range" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command, largest", [("int", 18), ("lk", 33), ("prs", 14)])
+    @pytest.mark.parametrize("command, largest", [("int", 22), ("lk", 60), ("prs", 19)])
     def test_sweep_budget_admits_the_defaults_and_the_largest_heights(
         self, command, largest
     ):
-        pairs = cli.SWEEP_PAIRS[command]
-        assert pairs(len(slopes_up_to(largest))) <= cli.SWEEP_PAIR_BUDGET
-        assert pairs(len(slopes_up_to(largest + 1))) > cli.SWEEP_PAIR_BUDGET
+        _, pairs, per_pair = cli.SWEEPS[command]
+        assert pairs(len(slopes_up_to(largest))) * per_pair <= cli.WORK_BUDGET
+        assert pairs(len(slopes_up_to(largest + 1))) * per_pair > cli.WORK_BUDGET
         for height in (1, {"int": 6, "lk": 8, "prs": 4}[command], largest):
             assert admitted(["lemmas", command, "--height", str(height)])
 
     @pytest.mark.parametrize("height", [1, 2, 3, 4])
     def test_sweep_pair_counts_match_the_sweeps(self, height):
         n = len(slopes_up_to(height))
+        pairs = {command: entry[1] for command, entry in cli.SWEEPS.items()}
         tallies = sweeps.identity_sweep(height)["tallies"]
-        assert cli.SWEEP_PAIRS["int"](n) == sum(
+        assert pairs["int"](n) == sum(
             count for tally in tallies.values() for count in tally.values()
         )
-        assert cli.SWEEP_PAIRS["lk"](n) == sweeps.linking_sweep(height)["checked"]
+        assert pairs["lk"](n) == sweeps.linking_sweep(height)["checked"]
         # prs pairs each of the 2n sphere seams with n curves, 2n seams, 4n waves
         assert len(sweeps._all_seams(PieceKind.FOUR_HOLED_SPHERE, height)) == 2 * n
-        assert cli.SWEEP_PAIRS["prs"](n) == 2 * n * 7 * n
+        assert pairs["prs"](n) == 2 * n * 7 * n
 
     def test_lk(self, capsys):
         code, report, _ = run_json(capsys, ["lemmas", "lk", "--height", "3"])
@@ -414,6 +415,14 @@ class TestLemmasCommands:
         assert code == 0
         assert report["checked"] == 30
 
+    def test_sc_rejects_slopes_without_a_mate(self, capsys):
+        # at height 1 only +-1/1 have a mate v with |det(u, v)| = 2
+        code, report, _ = run_json(
+            capsys, ["lemmas", "sc", "--samples", "20", "--height", "1"]
+        )
+        assert code == 0
+        assert report["checked"] == 20 and report["rejected"] > 0
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -445,7 +454,7 @@ class TestLemmasCommands:
             assert admitted(["scenario", "orthogonality", "--count", str(count)])
 
     def test_suite_work_budget_refuses_hours_and_admits_the_usual_runs(self):
-        # about 0.87 s a sample: 50,000 samples would run about 12 hours
+        # about 0.5 s a sample: 50,000 samples would run about 7 hours
         assert not admitted(["lemmas", "ml", "--samples", "50000", "--height", "315"])
         usual = [
             ["lemmas", command, "--samples", str(samples), *height]
@@ -605,6 +614,13 @@ class TestFlatsCommands:
         )
         assert code == 1
         assert "--window" in err
+
+    def test_certify_window_exceeding_lines(self, capsys):
+        # line 0 covers [-5, 7]: the window fits the pair budget, not the line
+        code, out, err = run(capsys, ["flats", "certify", "--n", "1", "--window", "6"])
+        assert code == 1
+        assert out == ""
+        assert "too small" in err and "--window" in err
 
 
     @pytest.mark.parametrize(
@@ -788,7 +804,7 @@ def test_parser_surface_is_pinned():
 # Each budget of the command table, keyed by (group, command, limit): the
 # argv tail of its largest admitted input and of its smallest refused one.
 FIXTURE = "<fixture>"
-V, P, S = cli.GRAPH_VERTEX_BUDGET, cli.SWEEP_PAIR_BUDGET, cli.SAMPLE_BUDGET
+V, W, S = cli.GRAPH_VERTEX_BUDGET, cli.WORK_BUDGET, cli.SAMPLE_BUDGET
 BUDGET_EDGES = {
     # [0; 2, ..., 2] with 18 and 19 twos
     ("farey", "geodesics", V): (["1/0", "2744210/6625109"], ["1/0", "6625109/15994428"]),
@@ -796,9 +812,9 @@ BUDGET_EDGES = {
     ("farey", "check-subgraph", V): (
         [FIXTURE, "--height", "315"], [FIXTURE, "--height", "316"]
     ),
-    ("lemmas", "int", P): (["--height", "18"], ["--height", "19"]),
-    ("lemmas", "lk", P): (["--height", "33"], ["--height", "34"]),
-    ("lemmas", "prs", P): (["--height", "14"], ["--height", "15"]),
+    ("lemmas", "int", W): (["--height", "22"], ["--height", "23"]),
+    ("lemmas", "lk", W): (["--height", "60"], ["--height", "61"]),
+    ("lemmas", "prs", W): (["--height", "19"], ["--height", "20"]),
     **{
         ("lemmas", command, S): (["--samples", str(S)], ["--samples", str(S + 1)])
         for command in ("prs", "prt", "ml", "sc")
@@ -809,10 +825,10 @@ BUDGET_EDGES = {
         )
         for command in ("prs", "prt", "ml", "sc")
     },
-    ("lemmas", "ml", cli.SUITE_WORK_BUDGET): (
+    ("lemmas", "ml", W): (
         ["--samples", "100", "--height", "315"], ["--samples", "101", "--height", "315"]
     ),
-    ("lemmas", "sc", cli.SUITE_WORK_BUDGET): (
+    ("lemmas", "sc", W): (
         ["--samples", "1503", "--height", "315"], ["--samples", "1504", "--height", "315"]
     ),
     ("scenario", "orthogonality", S): (["--count", str(S)], ["--count", str(S + 1)]),

@@ -289,6 +289,17 @@ class TestSubgraphChecks:
         assert not report["convex"]
         assert report["convex_witness"] == ["0/1", "1/1"]
 
+    def test_stray_vertex_is_refused(self, host):
+        sub = Subgraph(vertices=frozenset((Slope(0, 1), Slope(13, 1))), edges=frozenset())
+        with pytest.raises(ValueError, match="vertex 13/1 is outside the host ball"):
+            check_subgraph(sub, host)
+
+    @pytest.mark.parametrize("center, radius, height", [("0/1", 6, 12), ("2/5", 2, 9)])
+    def test_ball_lists_vertices_in_sort_key_order(self, center, radius, height):
+        # check_subgraph indexes the ball's vertices in the order given
+        vertices = build_ball(Slope.parse(center), radius, height).vertices
+        assert list(vertices) == sorted(vertices, key=Slope.sort_key)
+
     def test_check_subgraph_report(self, host):
         iv = slopes_in_interval(Fraction(-1), Fraction(1), 12)
         sub = Subgraph.induced(iv, host)
