@@ -66,33 +66,37 @@ CERTIFY_PAIR_BUDGET = 1_000_000
 # orthogonality --count``) refuse more samples than this.
 SAMPLE_BUDGET = 50_000
 
-# The exhaustive sweeps and the ml and sc suites model a run as its units of
-# work times the us a unit took (the highest of 3 or more in-process runs at
-# the small inputs named below, rounded up; 2-vCPU machine, Python 3.11.7) and
+# The exhaustive sweeps and the ml suite model a run as its units of work
+# times the us a unit took (the highest of 3 or more in-process runs at the
+# small inputs named below, rounded up; 2-vCPU machine, Python 3.11.7) and
 # refuse a run modelled past 100 s.  The largest admitted runs took 46-96 s.
 WORK_BUDGET = 100_000_000
 
 # command -> (driver in sweeps, pairs it visits among the n slopes of height
 # <= H, us a pair).  int pairs n arcs (torus) and 2n seams (sphere) with each
 # other and with the n curves, lk pairs the n torus arcs, and prs pairs the 2n
-# seams with n curves, 2n seams and 4n waves.  A pair took 43-50 us for int
-# (heights 6 and 8), 7.8-9.7 us for lk (8, 12) and 16-31 us for prs (4, 6).
+# seams with n curves, 2n seams and 4n waves.  int and prs count every pair of
+# a piece on one realization context, so a pair costs a little more as the
+# objects grow in number and size, yet less than at the small inputs: a pair
+# took 7.5-12.4 us for int (heights 6, 8 and 12) and 7.1-8.0 us at 20 and 24,
+# 7.8-9.7 us for lk (8, 12), and 3.4-7.0 us for prs (4, 6 and 10) and 3.7 us at
+# 18 and 22.
 SWEEPS = {
     "int": ("identity_sweep",
-            lambda n: n * (n - 1) // 2 + n * n + n * (2 * n - 1) + 2 * n * n, 50),
+            lambda n: n * (n - 1) // 2 + n * n + n * (2 * n - 1) + 2 * n * n, 13),
     "lk": ("linking_sweep", lambda n: n * (n - 1) // 2, 10),
-    "prs": ("disjoint_projection_sweep", lambda n: 14 * n * n, 31),
+    "prs": ("disjoint_projection_sweep", lambda n: 14 * n * n, 8),
 }
 # command -> (driver in sweeps, default --height, us a sample over the N =
 # 1 + H(2H + 1) slopes up to H, or None).  An ml sample took 0.5-1.4, 3.1-3.5
-# and 18-25 ms at heights 5, 20 and 80, an sc sample 0.17-0.20, 0.52-0.58 and
-# 8.4-11 ms at 8, 40 and 200.  The other suites and ``scenario orthogonality``
-# have no model: under 0.4 ms a sample up to height 315, 20 s at SAMPLE_BUDGET.
+# and 18-25 ms at heights 5, 20 and 80.  The other suites and ``scenario
+# orthogonality`` have no model: under 0.4 ms a sample up to height 315 (sc,
+# which solves for its mates, 0.08-0.10 ms), 20 s at SAMPLE_BUDGET.
 SUITES = {
     "prs": ("disjoint_projection_suite", 8, None),
     "prt": ("torus_move_suite", 5, None),
     "ml": ("sphere_move_suite", 5, lambda n: 1_100 + 5 * n),
-    "sc": ("couple_trace_suite", 8, lambda n: 250 + n // 3),
+    "sc": ("couple_trace_suite", 8, None),
 }
 
 

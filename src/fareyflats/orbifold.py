@@ -28,12 +28,18 @@ L*Z^2.
 One integer kernel, ``_crossing_events``, finds where plane segments of
 one object cross the whole preimage of another: it sweeps the other
 object's line families, keeps the hits that lie on its lifts, and
-locates each hit on the other's fundamental segment exactly.
+locates each hit on the other's fundamental segment exactly.  It reads
+both objects from their frames: a context builds each object's frame
+once, on first use, and keeps it as long as the context lives (no frame
+outlives its context).  The x side of a frame is the object's plane
+segments with both signs on the pillowcase; the y side is its slope's
+integer frame (below), its offsets and its line families.
 ``RealizationContext.count(i, j)`` is the one counting entry: it counts
 these events for two objects of a context on the torus cover and halves
 on the pillowcase (with an evenness check).  ``intersection_number``
-counts a pair through it; the ribbon walk builds its crossing graph from
-the events and checks their number against it.  A literal counter is
+counts a pair through it, and the drivers count every pair of a fixture
+or of a sweep's piece on one context; the ribbon walk builds its
+crossing graph from the events and checks their number against it.  A literal counter is
 kept as the independent oracle (``literal_intersection_number``,
 ``tightness_check``): for each pair of segments it walks the integer
 columns of their Minkowski difference, where every lattice translate
@@ -45,7 +51,7 @@ determinant formula is assumed anywhere in this module.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from enum import Enum
 from functools import cmp_to_key
 from typing import Sequence
@@ -93,43 +99,90 @@ def seam_pairs(slope: Slope) -> tuple[tuple[str, str], tuple[str, str]]:
     return first, rest  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
 class PieceObject:
-    """An essential curve, seam, or wave on one of the two pieces."""
+    """An essential curve, seam, or wave on one of the two pieces.
 
-    piece: PieceKind
-    kind: ObjectKind
-    slope: Slope
-    endpoints: tuple[str, ...] = ()
-    over: str | None = None
+    The class is slotted and its methods are written by hand, as for
+    ``Slope``: sweeps build and compare thousands of objects.  Objects are
+    immutable (assignment raises FrozenInstanceError) and equality is field
+    equality.  The hash must stay hash((piece, kind, slope, endpoints,
+    over)): object-keyed sets iterate in hash order.
+    """
 
-    def __post_init__(self):
-        if self.kind is ObjectKind.CURVE:
-            if self.endpoints or self.over is not None:
+    __slots__ = ("piece", "kind", "slope", "endpoints", "over")
+
+    def __init__(
+        self,
+        piece: PieceKind,
+        kind: ObjectKind,
+        slope: Slope,
+        endpoints: tuple[str, ...] = (),
+        over: str | None = None,
+    ) -> None:
+        if kind is ObjectKind.CURVE:
+            if endpoints or over is not None:
                 raise ValueError("a curve has no endpoints")
-        elif self.kind is ObjectKind.SEAM:
-            if self.over is not None:
+        elif kind is ObjectKind.SEAM:
+            if over is not None:
                 raise ValueError("only waves carry an 'over' corner")
-            if self.piece is PieceKind.ONE_HOLED_TORUS:
-                if self.endpoints != (TORUS_MARK, TORUS_MARK):
+            if piece is PieceKind.ONE_HOLED_TORUS:
+                if endpoints != (TORUS_MARK, TORUS_MARK):
                     raise ValueError("torus arcs end at the marked point twice")
             else:
-                if len(self.endpoints) != 2:
+                if len(endpoints) != 2:
                     raise ValueError("a seam joins two corners")
-                a, b = self.endpoints
-                if partner_label(self.slope, a) != b:
+                a, b = endpoints
+                if partner_label(slope, a) != b:
                     raise ValueError(
-                        f"corners {a},{b} are not joined by slope {self.slope}"
+                        f"corners {a},{b} are not joined by slope {slope}"
                     )
-                if self.endpoints != tuple(sorted(self.endpoints)):
+                if endpoints != tuple(sorted(endpoints)):
                     raise ValueError("seam endpoints must be sorted")
-        elif self.kind is ObjectKind.WAVE:
-            if self.piece is not PieceKind.FOUR_HOLED_SPHERE:
+        elif kind is ObjectKind.WAVE:
+            if piece is not PieceKind.FOUR_HOLED_SPHERE:
                 raise ValueError("waves live on the four-holed sphere")
-            if len(self.endpoints) != 1 or self.over is None:
+            if len(endpoints) != 1 or over is None:
                 raise ValueError("a wave has one end corner and one 'over' corner")
-            if partner_label(self.slope, self.endpoints[0]) != self.over:
+            if partner_label(slope, endpoints[0]) != over:
                 raise ValueError("wave corners must be partners for its slope")
+        _set_piece(self, piece)
+        _set_kind(self, kind)
+        _set_slope(self, slope)
+        _set_endpoints(self, endpoints)
+        _set_over(self, over)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is PieceObject:
+            return (
+                self.kind is other.kind
+                and self.piece is other.piece
+                and self.slope == other.slope
+                and self.endpoints == other.endpoints
+                and self.over == other.over
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.piece, self.kind, self.slope, self.endpoints, self.over))
+
+    def __reduce__(self):
+        return (
+            PieceObject,
+            (self.piece, self.kind, self.slope, self.endpoints, self.over),
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"PieceObject(piece={self.piece!r}, kind={self.kind!r}, "
+            f"slope={self.slope!r}, endpoints={self.endpoints!r}, "
+            f"over={self.over!r})"
+        )
 
     def sort_key(self):
         return (
@@ -167,6 +220,12 @@ class PieceObject:
         if self.kind is ObjectKind.SEAM:
             return f"seam({self.slope};{','.join(self.endpoints)})"
         return f"wave({self.slope};at {self.endpoints[0]} over {self.over})"
+
+
+# The slot descriptors write the fields past the frozen __setattr__.
+_set_piece, _set_kind, _set_slope, _set_endpoints, _set_over = (
+    getattr(PieceObject, name).__set__ for name in PieceObject.__slots__
+)
 
 
 def curve(piece: PieceKind, slope: Slope) -> PieceObject:
@@ -282,7 +341,14 @@ class RealizationContext:
 
     count(i, j) is the one entry to the crossing kernel: objects are
     named by their index here, and a crossing number, an invariant of the
-    isotopy classes, comes out the same in every realization.
+    isotopy classes, comes out the same in every realization.  So a driver
+    counts all the pairs of a fixture, or of a whole sweep, on one context.
+
+    Each object has a frame of two sides, each built once, on first use,
+    and kept as long as the context: x_side(i) when the object is the one
+    whose segments cross, y_side(i) when it is the one crossed.  count,
+    the ribbon walk and the literal counter all read them, so a context
+    computes no object's frame twice however many pairs it counts.
 
     A closed curve's fundamental segment runs over one period [a, b) from
     its anchor a, half open, so each point of the curve is on it once; an
@@ -294,12 +360,14 @@ class RealizationContext:
     def __init__(self, objects: Sequence[PieceObject], shrink: int = 1):
         if not objects:
             raise ValueError("empty configuration")
-        kinds = {o.piece for o in objects}
-        if len(kinds) != 1:
-            raise ValueError("objects must share a piece")
-        self.piece = objects[0].piece
+        self.piece = piece = objects[0].piece
+        self.norm = 0
+        for o in objects:
+            if o.piece is not piece:
+                raise ValueError("objects must share a piece")
+            self.norm = max(self.norm, o.slope.p**2 + o.slope.q**2)
+        self.torus = piece is PieceKind.ONE_HOLED_TORUS
         self.objects = tuple(objects)
-        self.norm = max(o.slope.p**2 + o.slope.q**2 for o in objects)
         self.shrink = shrink
         n1 = len(objects) + 1
         self.scale = 256 * n1**2 * self.norm**3 * shrink
@@ -309,22 +377,95 @@ class RealizationContext:
         # both divided by shrink
         self.gap = 4 * n1 * self.norm
         self._curve_unit = 64 * n1 * self.norm**3 * shrink
-
-    def curve_shift(self, index: int) -> int:
-        """Curve index's offset from its lattice line, in units of 1/scale."""
-        return (2 * index + 1) * self._curve_unit
-
-    def normal_shift(self, index: int) -> int:
-        """Wave index's offset from its seam, in normals (p, -q) / scale."""
-        return index + 1
+        self._xs: list = [None] * len(self.objects)
+        self._ys: list = [None] * len(self.objects)
 
     def scaled(self, factor: int) -> "RealizationContext":
         """A context with the wave offsets divided by factor (stability);
         curve and seam positions do not depend on shrink."""
         return RealizationContext(self.objects, self.shrink * factor)
 
+    def _fund(self, index: int, x0: int, y0: int) -> tuple[IntPoint, IntPoint]:
+        """The plane segment (a, b) projecting one-to-one onto object index,
+        in units of 1/scale; x0, y0 solve p*x0 + q*y0 = 1 for its slope p/q
+        (only a curve's anchor reads them).
+
+        The plane preimage of the object is sign*(a, b) + scale*v over v in
+        Z^2 and the signs of the piece.  A curve's segment is one period
+        [a, b) from its anchor a, read half open: b is a's translate, the
+        same point of the curve.
+        """
+        obj = self.objects[index]
+        L, kind, p, q = self.scale, obj.kind, obj.slope.p, obj.slope.q
+        if kind is ObjectKind.CURVE:
+            o = (2 * index + 1) * self._curve_unit
+            return (o * x0, -o * y0), (o * x0 + L * q, L * p - o * y0)
+        if self.torus:
+            return (0, 0), (L * q, L * p)
+        cx, cy = _corner_units(obj.endpoints[0], L)
+        if kind is ObjectKind.SEAM:
+            # half of the sigma-invariant loop: base corner to partner corner
+            return (cx, cy), (cx + L // 2 * q, cy + L // 2 * p)
+        # wave: straight loop at a small normal offset from the seam line,
+        # opened up by a small gap at the end corner; the cone angle pi turns
+        # the straight quotient into the U-turn around the 'over' corner.
+        eps, gap = index + 1, self.gap
+        bx, by = cx + eps * p, cy - eps * q
+        return (bx + gap * q, by + gap * p), (bx + (L - gap) * q, by + (L - gap) * p)
+
+    def x_side(self, index: int) -> tuple:
+        """The object's plane segments sign*(a, b) with the cone points at
+        their ends, (a, b, ends) per sign of the piece: +1 on the torus and
+        +-1 on the pillowcase, the first being the fundamental segment."""
+        side = self._xs[index]
+        if side is None:
+            obj = self.objects[index]
+            if obj.kind is ObjectKind.CURVE:
+                _, x0, y0 = _extgcd(obj.slope.p, obj.slope.q)
+            else:
+                x0 = y0 = 0
+            a, b = self._fund(index, x0, y0)
+            ends = _fund_ends(obj)
+            side = ((a, b, ends),)
+            if not self.torus:
+                side += (((-a[0], -a[1]), (-b[0], -b[1]), ends),)
+            self._xs[index] = side
+        return side
+
+    def y_side(self, index: int) -> tuple:
+        """What the kernel sweeps when the object is crossed:
+        (p, q, x0, y0, e_a, span, families, labels).
+
+        p/q is its slope and p*x0 + q*y0 = 1; e_a is the e-coordinate of
+        its fundamental segment's start and span the segment's e-length
+        (see _crossing_events); each line family is (c-offset, lifts on it
+        as (sign, lattice step), whether the lifts cover the lines); labels
+        are the cone points the object ends at.
+        """
+        side = self._ys[index]
+        if side is None:
+            obj = self.objects[index]
+            L, p, q = self.scale, obj.slope.p, obj.slope.q
+            _, x0, y0 = _extgcd(p, q)
+            a, b = self._fund(index, x0, y0)
+            c_a = p * a[0] - q * a[1]
+            e_a = y0 * a[0] + x0 * a[1]
+            span = y0 * b[0] + x0 * b[1] - e_a  # L when closed
+            if self.torus:
+                families = ((c_a, ((1, 0),), span >= L),)
+            elif 2 * c_a % L == 0:  # a seam's halves share lines
+                families = ((c_a, ((1, 0), (-1, 2 * c_a // L)), 2 * span >= L),)
+            else:
+                families = (
+                    (c_a, ((1, 0),), span >= L),
+                    (-c_a, ((-1, 0),), span >= L),
+                )
+            labels = obj.endpoints if obj.kind is ObjectKind.SEAM else ()
+            side = self._ys[index] = (p, q, x0, y0, e_a, span, families, labels)
+        return side
+
     def count(self, i: int, j: int) -> int:
-        """Geometric crossing number of objects i and j.
+        """Geometric crossing number of objects i and j (0 when i == j).
 
         The crossing events of one object's torus-cover segments with the
         other's preimage are counted; a wave takes the segment side against
@@ -335,61 +476,24 @@ class RealizationContext:
         """
         x, y = self.objects[i], self.objects[j]
         if y.kind is ObjectKind.WAVE and x.kind is not ObjectKind.WAVE:
-            return self.count(j, i)
-        a, b = _fund(x, self, i)
-        ends = _fund_ends(x)
-        segments = [
-            ((s * a[0], s * a[1]), (s * b[0], s * b[1]), ends)
-            for s in _SIGNS[self.piece]
-        ]
-        raw = _crossing_events(x, segments, y, _fund(y, self, j), self, count_only=True)
-        if self.piece is PieceKind.FOUR_HOLED_SPHERE:
-            if raw % 2:
-                raise AssertionError(
-                    f"odd cover count {raw} for {x} vs {y}; realization bug"
-                )
-            return raw // 2
-        return raw
-
-
-_SIGNS = {PieceKind.ONE_HOLED_TORUS: (1,), PieceKind.FOUR_HOLED_SPHERE: (1, -1)}
+            i, j, x, y = j, i, y, x
+        raw = _crossing_events(
+            x, self._xs[i] or self.x_side(i), y, self._ys[j] or self.y_side(j),
+            self.scale, True,
+        )
+        if self.torus:
+            return raw
+        if raw % 2:
+            raise AssertionError(
+                f"odd cover count {raw} for {x} vs {y}; realization bug"
+            )
+        return raw // 2
 
 
 def _corner_units(label: str, scale: int) -> IntPoint:
     """The corner's half-lattice lift in units of 1/scale (scale is even)."""
     a, b = corner_vec(label)
     return (a * scale // 2, b * scale // 2)
-
-
-def _fund(
-    obj: PieceObject, ctx: RealizationContext, index: int
-) -> tuple[IntPoint, IntPoint]:
-    """The plane segment projecting one-to-one onto obj, in units of 1/scale.
-
-    The plane preimage of obj is sign*fund + scale*v over v in Z^2 and the
-    signs of its piece: +1 on the torus, +-1 on the pillowcase, which is
-    the plane modulo x -> -x and the translations.  A curve's segment is
-    one period [a, b) from its anchor a, read half open: b is a's
-    translate, the same point of the curve.
-    """
-    L, q, p = ctx.scale, obj.slope.q, obj.slope.p
-    if obj.kind is ObjectKind.CURVE:
-        _, x0, y0 = _extgcd(p, q)
-        o = ctx.curve_shift(index)
-        a = (o * x0, -o * y0)
-        return a, (a[0] + L * q, a[1] + L * p)
-    if obj.piece is PieceKind.ONE_HOLED_TORUS:
-        return (0, 0), (L * q, L * p)
-    cx, cy = _corner_units(obj.endpoints[0], L)
-    if obj.kind is ObjectKind.SEAM:
-        # half of the sigma-invariant loop: base corner to partner corner
-        return (cx, cy), (cx + L // 2 * q, cy + L // 2 * p)
-    # wave: straight loop at a small normal offset from the seam line,
-    # opened up by a small gap at the end corner; the cone angle pi turns
-    # the straight quotient into the U-turn around the 'over' corner.
-    eps, gap = ctx.normal_shift(index), ctx.gap
-    bx, by = cx + eps * p, cy - eps * q
-    return (bx + gap * q, by + gap * p), (bx + (L - gap) * q, by + (L - gap) * p)
 
 
 def _fund_ends(obj: PieceObject) -> tuple[str | None, ...]:
@@ -401,43 +505,38 @@ def _fund_ends(obj: PieceObject) -> tuple[str | None, ...]:
 # crossing-event kernel
 
 
-def _strict_between_count(f0, f1, unit=1) -> int:
-    """How many multiples of unit lie strictly between f0 and f1."""
-    lo, hi = (f0, f1) if f0 <= f1 else (f1, f0)
-    return max(0, -(-hi // unit) - 1 - lo // unit)
-
-
 def _crossing_events(
     x_obj: PieceObject,
     x_segments: Sequence[tuple[IntPoint, IntPoint, tuple[str | None, ...]]],
     y_obj: PieceObject,
-    y_fund: tuple[IntPoint, IntPoint],
-    ctx: RealizationContext,
+    y_side: tuple,
+    L: int,
     count_only: bool = False,
 ) -> list | int:
     """Crossings of plane segments of x with the whole plane preimage of y.
 
-    x_segments are (a, b, ends) in units of 1/ctx.scale (L), ends naming the
-    cone point at each end or None; y_fund is y's fundamental segment, whose
-    lifts sign*y_fund + L*v make up y's preimage.
+    x_segments are (a, b, ends) in units of 1/L, ends naming the cone point
+    at each end or None: x's RealizationContext.x_side, or part of it.
+    y_side is y's RealizationContext.y_side in the same context, whose
+    scale is L.
 
     y's slope p/q has an integer frame: with p*x0 + q*y0 = 1 (extgcd),
     c(P) = p*P[0] - q*P[1] is constant along the slope's direction
     w = (q, p), e(P) = y0*P[0] + x0*P[1] has e(w) = 1, and the unit point
     u = (x0, -y0) has c(u) = 1, e(u) = 0, so P = c(P)*u + e(P)*w.  In this
-    frame every lift lies on a line c = sign*c(y_fund) (mod L), so a segment
-    meets those lines where c - sign*c(y_fund) is a multiple of L strictly
-    inside its range, and each hit is located on the lift through it by
-    its e-coordinate modulo L; a wave's lifts leave a gap on their lines,
-    which filters its hits.
+    frame every lift sign*fund + L*v of y lies on a line c = sign*c(fund)
+    (mod L), so a segment meets those lines where c - sign*c(fund) is a
+    multiple of L strictly inside its range, and each hit is located on
+    the lift through it by its e-coordinate modulo L; a wave's lifts leave
+    a gap on their lines, which filters its hits.
 
     When x is a closed curve its segments are periods, read half open: a
     hit at the start is the crossing at t_x = 0, and the end is the same
     point again.  (dc is L*det, so both ends are on y's lines or neither.)
 
     Returns the events (t_x, t_y, (sign, shift)): t_x on the x segment and
-    t_y on y_fund as (numerator, denominator), and the deck map
-    z -> sign*z + shift taking y_fund(t_y) to the crossing.  With
+    t_y on y's fundamental segment as (numerator, denominator), and the
+    deck map z -> sign*z + shift taking fund(t_y) to the crossing.  With
     count_only it returns their number, counting a family whose lifts
     cover its lines (curves, seams) without visiting its hits.
 
@@ -445,22 +544,7 @@ def _crossing_events(
     when y passes a cone point of x that is not one of y's ends, or when a
     crossing lands on a tip of y.
     """
-    L = ctx.scale
-    p, q = y_obj.slope.p, y_obj.slope.q
-    _, x0, y0 = _extgcd(p, q)
-    (yax, yay), (ybx, yby) = y_fund
-    cy = p * yax - q * yay
-    ey = y0 * yax + x0 * yay
-    span = y0 * ybx + x0 * yby - ey  # e-length of y_fund: L when closed
-    families: list[tuple[int, list[tuple[int, int]]]] = []
-    for sign in _SIGNS[y_obj.piece]:
-        for off, lifts in families:
-            if (off - sign * cy) % L == 0:  # a seam's halves share lines
-                lifts.append((sign, (off - sign * cy) // L))
-                break
-        else:
-            families.append((sign * cy, [(sign, 0)]))
-    y_labels = y_obj.endpoints if y_obj.kind is ObjectKind.SEAM else ()
+    p, q, x0, y0, ey, span, families, y_labels = y_side
     closed = x_obj.kind is ObjectKind.CURVE
     events = []
     total = 0
@@ -469,17 +553,19 @@ def _crossing_events(
         dc = p * b[0] - q * b[1] - ca
         if dc == 0:
             continue  # parallel to y
-        for off, lifts in families:
+        for off, lifts, covers in families:
             f0 = ca - off
-            count = _strict_between_count(f0, f0 + dc, L)
-            k0 = min(f0, f0 + dc) // L + 1
+            f1 = f0 + dc
+            # the hits k*L strictly between f0 and f1, for k0 <= k < k0 + count
+            k0 = (f0 if dc > 0 else f1) // L + 1
+            count = -(-(f1 if dc > 0 else f0) // L) - k0
             if closed:
                 if f0 % L == 0:  # the line through the start: hit k = f0 / L
                     count += 1
                     if dc > 0:
                         k0 -= 1
-            else:
-                for f, pt, label in ((f0, a, ends[0]), (f0 + dc, b, ends[1])):
+            elif f0 % L == 0 or f1 % L == 0:
+                for f, pt, label in ((f0, a, ends[0]), (f1, b, ends[1])):
                     # an end on y's line is a touch at a shared cone point,
                     # and nothing at all where the line runs in a wave's gap
                     if f % L or label in y_labels:
@@ -494,7 +580,7 @@ def _crossing_events(
                     raise DegenerateRealization(
                         f"{y_obj} passes foreign cone point {label}"
                     )
-            if count_only and len(lifts) * span >= L:
+            if count_only and covers:
                 total += count
                 continue
             ea = y0 * a[0] + x0 * a[1]
@@ -675,10 +761,9 @@ def literal_intersection_number(
                 tuple(((unit * px).numerator, (unit * py).numerator) for px, py in seg)
                 for seg in custom
             ]
-        a, b = _fund(obj, ctx, ctx.objects.index(obj))
         return [
-            ((s * k * a[0], s * k * a[1]), (s * k * b[0], s * k * b[1]))
-            for s in _SIGNS[obj.piece]
+            ((k * a[0], k * a[1]), (k * b[0], k * b[1]))
+            for a, b, _ in ctx.x_side(ctx.objects.index(obj))
         ]
 
     closed = (

@@ -63,22 +63,27 @@ def is_special_couple(s: PieceObject, c: PieceObject) -> bool:
     return intersection_number(s, c) == 2
 
 
-def projection_identity_report(s: PieceObject, t: PieceObject) -> dict:
+def projection_identity_report(
+    s: PieceObject, t: PieceObject, crossings: tuple[int, int] | None = None
+) -> dict:
     """Both sides of the closing-up identity for a seam s against t.
 
     Replacing s by the curve of its slope multiplies every crossing by the
     number of strands the closed-up curve runs along s (two around a cone
     point, one through the torus mark) and picks up one crossing per
-    shared endpoint.  Both sides are recomputed with the oracle.
+    shared endpoint.  Both sides are recomputed with the oracle, unless
+    crossings gives the counts (curve of s against t, s against t) that a
+    caller already made, so that its report shows what it saw.
     """
     if s.kind is not ObjectKind.SEAM:
         raise ValueError("the identity is about seams")
     if t.kind is ObjectKind.WAVE:
         raise ValueError("compare against curves or seams")
     factor = 1 if s.piece is PieceKind.ONE_HOLED_TORUS else 2
-    pi_s = curve(s.piece, s.slope)
-    lhs = intersection_number(pi_s, t)
-    base = intersection_number(s, t)
+    if crossings is None:
+        pi_s = curve(s.piece, s.slope)
+        crossings = intersection_number(pi_s, t), intersection_number(s, t)
+    lhs, base = crossings
     j = common_boundaries(s, t)
     rhs = factor * base + j
     return {

@@ -57,8 +57,6 @@ from .orbifold import (
     _angle_cmp_from,
     _corner_units,
     _crossing_events,
-    _fund,
-    _fund_ends,
 )
 from .slopes import Slope, slope_from_direction
 
@@ -173,7 +171,7 @@ class _Walk:
         self.ctx = ctx
         self.piece = ctx.piece
         # fundamental segments and their directions, in units of 1/ctx.scale
-        self.segments = [_fund(o, ctx, i) for i, o in enumerate(self.objects)]
+        self.segments = [ctx.x_side(i)[0][:2] for i in range(len(self.objects))]
         self.dirs = [_sub(b, a) for a, b in self.segments]
         self.decks: list[AffineMap] = []
         self.succ: list = []
@@ -205,15 +203,14 @@ class _Walk:
         A crossing's chart is fund(i)'s; each event's deck maps fund(j)
         coordinates into it.
         """
-        n = len(self.objects)
+        n, ctx = len(self.objects), self.ctx
         for i in range(n):
-            a, b = self.segments[i]
-            strand = [(a, b, _fund_ends(self.objects[i]))]
+            strand = ctx.x_side(i)[:1]  # the fundamental segment
             for j in range(i + 1, n):
                 events = _crossing_events(
-                    self.objects[i], strand, self.objects[j], self.segments[j], self.ctx
+                    self.objects[i], strand, self.objects[j], ctx.y_side(j), ctx.scale
                 )
-                expected = self.ctx.count(i, j)
+                expected = ctx.count(i, j)
                 if len(events) != expected:
                     raise AssertionError(
                         f"event count {len(events)} for {self.objects[i]} vs "

@@ -19,12 +19,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 from .flats import Coordinate, SurfaceDesc, max_handles, product_distance
 from .orbifold import (
     PieceKind,
     PieceObject,
+    RealizationContext,
     curve,
     intersection_number,
     random_seam,
@@ -162,17 +163,23 @@ class VertexShadow:
 
 
 def _validate_trace(trace: tuple[PieceObject, ...], kind: PieceKind):
+    """Every component lives on the piece, and distinct components are
+    disjoint; equal ones are parallel strands of one curve.  The pairs
+    are counted on one realization context of the distinct components."""
+    distinct: list[PieceObject] = []
     for obj in trace:
         if obj.piece is not kind:
             raise ValueError(f"{obj} does not live on a {kind.value} piece")
-    for i in range(len(trace)):
-        for j in range(i + 1, len(trace)):
-            if trace[i] == trace[j]:
-                continue  # parallel strands of one curve
-            if intersection_number(trace[i], trace[j]) != 0:
-                raise ValueError(
-                    f"trace components {trace[i]} and {trace[j]} intersect"
-                )
+        if obj not in distinct:
+            distinct.append(obj)
+    if len(distinct) < 2:
+        return
+    ctx = RealizationContext(distinct)
+    for i, j in combinations(range(len(distinct)), 2):
+        if ctx.count(i, j) != 0:
+            raise ValueError(
+                f"trace components {distinct[i]} and {distinct[j]} intersect"
+            )
 
 
 def shadow_in_pq(system: HandleSystem, slopes) -> VertexShadow:

@@ -140,17 +140,19 @@ def _extgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _neighbor_pairs(p: int, q: int, height: int):
-    """The canonical (r, s) of every neighbour of p/q of height <= height.
+def _neighbor_pairs(p: int, q: int, height: int, k: int = 1):
+    """The canonical (r, s) of every slope r/s of height <= height with
+    |p*s - q*r| = k: the neighbours of p/q when k = 1.
 
-    Solves p*s - q*r = 1: with p*x + q*y = 1 the solutions are
-    (r, s) = (-y + t*p, x + t*q), and t runs over the window that keeps |r|
-    and |s| within the height.  A solution of p*s - q*r = -1 is the
-    negative of one of these, so bringing each to s >= 0 lists every
-    neighbour exactly once, in increasing t.
+    Solves p*s - q*r = k: with p*x + q*y = 1 the solutions are
+    (r, s) = (-k*y + t*p, k*x + t*q), and t runs over the window that
+    keeps |r| and |s| within the height.  A solution of p*s - q*r = -k is
+    the negative of one of these, so bringing each to s >= 0 lists every
+    slope once, in increasing t.  For k > 1 only the reduced solutions
+    are slopes; for k = 1 every solution is reduced.
     """
     _, x, y = _extgcd(p, q)
-    r0, s0 = -y, x
+    r0, s0 = -k * y, k * x
     lo = hi = None
     for base, step in ((r0, p), (s0, q)):
         if step == 0:
@@ -164,22 +166,29 @@ def _neighbor_pairs(p: int, q: int, height: int):
             t_lo, t_hi = -((height - base) // -step), (height + base) // -step
         lo = t_lo if lo is None else max(lo, t_lo)
         hi = t_hi if hi is None else min(hi, t_hi)
+    if k == 1:  # FareyGraph's path, kept free of the gcd test
+        for t in range(lo, hi + 1):
+            r, s = r0 + t * p, s0 + t * q
+            yield (r, s) if s > 0 or (s == 0 and r > 0) else (-r, -s)
+        return
     for t in range(lo, hi + 1):
         r, s = r0 + t * p, s0 + t * q
-        yield (r, s) if s > 0 or (s == 0 and r > 0) else (-r, -s)
+        if gcd(r, s) == 1:
+            yield (r, s) if s > 0 or (s == 0 and r > 0) else (-r, -s)
 
 
-def neighbors(a: Slope, height: int) -> list[Slope]:
+def neighbors(a: Slope, height: int, k: int = 1) -> list[Slope]:
     """All slopes adjacent to a with height <= the bound, sorted.
 
-    The bound must be at least the height of a.
+    With k > 1, the slopes v with |det(a, v)| = k instead.  The bound
+    must be at least the height of a.
     """
     if height < a.height:
         raise ValueError(
             f"height bound {height} is below the height of {a} ({a.height})"
         )
     return sorted(
-        (Slope(r, s) for r, s in _neighbor_pairs(a.p, a.q, height)),
+        (Slope(r, s) for r, s in _neighbor_pairs(a.p, a.q, height, k)),
         key=Slope.sort_key,
     )
 

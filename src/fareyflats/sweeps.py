@@ -24,9 +24,9 @@ from .orbifold import (
     ObjectKind,
     PieceKind,
     PieceObject,
+    RealizationContext,
     curve,
     endpoint_linking,
-    intersection_number,
     random_arcish,
     random_seam,
     random_slope,
@@ -38,14 +38,9 @@ from .orbifold import (
     torus_arc,
     wave,
 )
-from .pieces import (
-    associated_seam,
-    common_boundaries,
-    is_special_couple,
-    projection_identity_report,
-)
+from .pieces import common_boundaries, projection_identity_report
 from .ribbon import neighborhood_boundary
-from .slopes import Slope, det, distance, slopes_up_to
+from .slopes import Slope, distance, neighbors, slopes_up_to
 
 T = PieceKind.ONE_HOLED_TORUS
 S = PieceKind.FOUR_HOLED_SPHERE
@@ -89,24 +84,34 @@ def identity_sweep(height: int) -> dict:
     by the strand factor and adds one crossing per shared end.  Seam
     against contained curve: the projection doubles (sphere) or keeps
     (torus) the count.  Every endpoint choice at every height up to the
-    bound is visited.
+    bound is visited.  Each piece's seams and curves are counted on one
+    realization context; a pair's report is built only for a violation.
     """
     tallies: dict[str, dict[str, int]] = {}
     violations = []
+    pool = _pool(height)
     for piece in (T, S):
         seams = _all_seams(piece, height)
-        curves = [curve(piece, u) for u in _pool(height)]
+        n = len(seams)
+        objects = seams + [curve(piece, u) for u in pool]
+        # the index of each seam's projection, the curve of its slope
+        at = {u: n + k for k, u in enumerate(pool)}
+        projected = [at[s_obj.slope] for s_obj in seams]
+        ctx = RealizationContext(objects) if objects else None
+        factor = 1 if piece is T else 2
         tally = tallies[piece.value] = {}
         for key, pairs in (
-            ("seam_vs_seam", combinations(seams, 2)),
-            ("seam_vs_curve", product(seams, curves)),
+            ("seam_vs_seam", combinations(range(n), 2)),
+            ("seam_vs_curve", product(range(n), range(n, len(objects)))),
         ):
             tally[key] = 0
-            for s_obj, t_obj in pairs:
-                rep = projection_identity_report(s_obj, t_obj)
+            for i, j in pairs:
                 tally[key] += 1
-                if not rep["holds"]:
-                    violations.append(rep)
+                lhs, base = ctx.count(projected[i], j), ctx.count(i, j)
+                if lhs != factor * base + common_boundaries(objects[i], objects[j]):
+                    violations.append(
+                        projection_identity_report(objects[i], objects[j], (lhs, base))
+                    )
     return _report("identity_sweep", violations, height=height, tallies=tallies)
 
 
@@ -129,15 +134,15 @@ def linking_sweep(height: int) -> dict:
 # disjointness forces projection distance <= 1 (sphere)
 
 
-def _prs_case(s_obj: PieceObject, b_obj: PieceObject) -> str | None:
-    """How the disjointness lemma treats a seam s and another object b.
+def _prs_case(ctx: RealizationContext, i: int, j: int) -> str | None:
+    """How the disjointness lemma treats seam i of ctx and another object j.
 
-    None when b is s or crosses it; "excluded" for a seam sharing both of
-    s's ends (such twins project two steps apart); "checked" otherwise.
+    None when j is i or crosses it; "excluded" for a seam sharing both of
+    i's ends (such twins project two steps apart); "checked" otherwise.
     """
-    if b_obj == s_obj or intersection_number(s_obj, b_obj) != 0:
+    if ctx.objects[i] == ctx.objects[j] or ctx.count(i, j):
         return None
-    if common_boundaries(s_obj, b_obj) > 1:
+    if common_boundaries(ctx.objects[i], ctx.objects[j]) > 1:
         return "excluded"
     return "checked"
 
@@ -146,16 +151,20 @@ def disjoint_projection_sweep(height: int) -> dict:
     """Exhaustive sphere check: disjoint from a seam means one step away.
 
     Seams with two shared ends are excluded by hypothesis (those twins
-    project two steps apart); the count of exclusions is reported.
+    project two steps apart); the count of exclusions is reported.  Every
+    pair is counted on one realization context.
     """
     seams = _all_seams(S, height)
     waves = [wave(s_obj, over) for s_obj in seams for over in s_obj.endpoints]
-    others = [curve(S, u) for u in _pool(height)] + seams + waves
+    curves = [curve(S, u) for u in _pool(height)]
+    others = curves + seams + waves
     checked = excluded = 0
     violations = []
-    for s_obj in seams:
-        for b_obj in others:
-            case = _prs_case(s_obj, b_obj)
+    ctx = RealizationContext(others) if others else None
+    for i in range(len(curves), len(curves) + len(seams)):
+        s_obj = others[i]
+        for j, b_obj in enumerate(others):
+            case = _prs_case(ctx, i, j)
             if case == "excluded":
                 excluded += 1
             elif case == "checked":
@@ -189,7 +198,7 @@ def disjoint_projection_suite(
         if rng.random() < 0.7:
             # bias: reuse the seam's slope for the companion
             b_obj = random_arcish(rng, height, s_obj.slope)
-        if _prs_case(s_obj, b_obj) != "checked":
+        if _prs_case(RealizationContext((s_obj, b_obj)), 0, 1) != "checked":
             rejected += 1
             continue
         checked += 1
@@ -224,6 +233,11 @@ def _extras_disjoint(rng, gen, component, count: int) -> list[PieceObject]:
     opposite waves doubling them -- whose gap already defeats a lone-arc
     component before any boundary is walked.  On the torus it never
     fires: disjoint objects there are always one step apart or equal.
+
+    The filters are conjunctive and draw nothing, so they run cheapest
+    first: equality, then the projection distances, and last the
+    crossings, counted on one context of the accepted objects and the
+    candidate.
     """
     extras: list[PieceObject] = []
     for _ in range(count):
@@ -232,9 +246,11 @@ def _extras_disjoint(rng, gen, component, count: int) -> list[PieceObject]:
             accepted = list(component) + extras
             if any(cand == o for o in accepted):
                 continue
-            if any(intersection_number(cand, o) for o in accepted):
-                continue
             if any(distance(cand.slope, o.slope) > 1 for o in accepted):
+                continue
+            ctx = RealizationContext(accepted + [cand])
+            last = len(accepted)
+            if any(ctx.count(last, k) for k in range(last)):
                 continue
             extras.append(cand)
             break
@@ -244,28 +260,30 @@ def _extras_disjoint(rng, gen, component, count: int) -> list[PieceObject]:
 def _move_suite(driver, samples, seed, height, draw, bystander, witnesses):
     """The loop both move suites share.
 
-    ``draw(rng)`` returns a component, or None to resample it.  Up to two
-    bystanders ``bystander(rng, height)`` join it, then the boundary of
-    the component's neighborhood is walked (degenerate walks are skipped
-    and counted).  Among the essential boundary components whose kind is
-    in ``witnesses``, the first projecting within one step of every trace
-    object is tallied by kind; when there is none the fixture is a
-    violation.
+    ``draw(rng)`` returns the realization context of a component, its
+    counts made there, or None to resample it.  Up to two bystanders
+    ``bystander(rng, height)`` join it, then the boundary of the
+    component's neighborhood is walked on that context (degenerate walks
+    are skipped and counted).  Among the essential boundary components
+    whose kind is in ``witnesses``, the first projecting within one step
+    of every trace object is tallied by kind; when there is none the
+    fixture is a violation.
     """
     rng = random.Random(seed)
     checked = degenerate = resampled = 0
     kinds: dict[str, int] = {}
     violations = []
     while checked < samples:
-        component = draw(rng)
-        if component is None:
+        ctx = draw(rng)
+        if ctx is None:
             resampled += 1
             continue
+        component = list(ctx.objects)
         extras = _extras_disjoint(
             rng, lambda r: bystander(r, height), component, rng.randrange(3)
         )
         try:
-            walked = neighborhood_boundary(component)
+            walked = neighborhood_boundary(component, ctx=ctx)
         except DegenerateRealization:
             degenerate += 1
             continue
@@ -317,13 +335,16 @@ def torus_move_suite(
     def draw(rng):
         shape = rng.randrange(3)
         if shape == 0:
-            return [random_torus_arc(rng, height)]
+            return RealizationContext([random_torus_arc(rng, height)])
         if shape == 1:
             first = random_torus_arc(rng, height)
         else:
             first = curve(T, random_slope(rng, height))
         arc = random_torus_arc(rng, height)
-        return [first, arc] if intersection_number(first, arc) == 1 else None
+        if first == arc:
+            return None
+        ctx = RealizationContext([first, arc])
+        return ctx if ctx.count(0, 1) == 1 else None
 
     return _move_suite(
         "torus_move_suite",
@@ -358,10 +379,12 @@ def sphere_move_suite(
     def draw(rng):
         shape = rng.randrange(4)
         if shape == 0:
-            component = [random_sphere_arc(rng, height)]
-        elif shape == 1:
+            return RealizationContext([random_sphere_arc(rng, height)])
+        if shape == 1:
             a, b = random_sphere_arc(rng, height), random_sphere_arc(rng, height)
-            crossings = 0 if a == b else intersection_number(a, b)
+            if a == b:
+                return None
+            ctx = RealizationContext([a, b])
             # A double crossing inside one component comes from two strands
             # of a move running antiparallel, so it needs a wave; a pair of
             # straight seams can only carry same-signed crossings and never
@@ -369,27 +392,19 @@ def sphere_move_suite(
             both_seams = (
                 a.kind is ObjectKind.SEAM and b.kind is ObjectKind.SEAM
             )
-            if not 1 <= crossings <= (1 if both_seams else 2):
-                return None
-            component = [a, b]
-        elif shape == 2:
+            return ctx if 1 <= ctx.count(0, 1) <= (1 if both_seams else 2) else None
+        if shape == 2:
             c = curve(S, random_slope(rng, height))
-            w = random_wave(rng, height)
-            if intersection_number(c, w) != 2:
-                return None
-            component = [c, w]
-        else:
-            c = curve(S, random_slope(rng, height))
-            s1, s2 = random_seam(rng, height), random_seam(rng, height)
-            if (
-                s1 == s2
-                or intersection_number(c, s1) != 1
-                or intersection_number(c, s2) != 1
-                or intersection_number(s1, s2) != 0
-            ):
-                return None
-            component = [c, s1, s2]
-        return component
+            ctx = RealizationContext([c, random_wave(rng, height)])
+            return ctx if ctx.count(0, 1) == 2 else None
+        c = curve(S, random_slope(rng, height))
+        s1, s2 = random_seam(rng, height), random_seam(rng, height)
+        if s1 == s2:
+            return None
+        ctx = RealizationContext([c, s1, s2])
+        if ctx.count(0, 1) != 1 or ctx.count(0, 2) != 1 or ctx.count(1, 2) != 0:
+            return None
+        return ctx
 
     return _move_suite(
         "sphere_move_suite",
@@ -417,34 +432,35 @@ def couple_trace_suite(
     among the projections of the union s with twin.
     """
     rng = random.Random(seed)
-    pool = slopes_up_to(height)
     checked = rejected = 0
     violations = []
     while checked < samples:
         u = random_slope(rng, height)
-        mates = [v for v in pool if abs(det(u, v)) == 2]
+        mates = neighbors(u, height, 2)
         if not mates:
             rejected += 1
             continue
         v = mates[rng.randrange(len(mates))]
         s_obj = random_seam(rng, height, u)
         c_obj = curve(S, v)
-        if not is_special_couple(s_obj, c_obj):
+        # s, c and the two seams of c's slope; each pair is counted once
+        twins = [seam(S, v, pair) for pair in seam_pairs(v)]
+        ctx = RealizationContext([s_obj, c_obj, *twins])
+        if ctx.count(0, 1) != 2:
             # never fires, but the oracle decides: I(seam(u), curve(v)) = |det(u, v)|
             # = 2 by the closing-up identity and criterion 3 (180 of 180 at H <= 6)
             rejected += 1
             continue
-        twin = associated_seam(c_obj, s_obj)
-        other_pair = next(
-            p for p in seam_pairs(v) if p != twin.endpoints
-        )
-        other = seam(S, v, other_pair)
+        # the twin is the seam of v crossing s least, as associated_seam picks it
+        crossings = [ctx.count(2, 0), ctx.count(3, 0)]
+        t = 0 if crossings[0] <= crossings[1] else 1
+        twin = twins[t]
         problems = []
-        if intersection_number(twin, s_obj) != 0:
+        if crossings[t] != 0:
             problems.append("twin crosses the seam")
         if set(twin.endpoints) != set(s_obj.endpoints):
             problems.append("twin does not share both ends")
-        if intersection_number(other, s_obj) == 0:
+        if crossings[1 - t] == 0:
             problems.append("twin choice is not unique")
         if twin.slope != v:
             problems.append("twin does not project to the curve")

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import time
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from fareyflats.orbifold import (
     ObjectKind,
     PieceKind,
     RealizationContext,
-    _strict_between_count,
     curve,
     endpoint_linking,
     intersection_number,
@@ -66,6 +66,25 @@ class TestDescriptors:
             PieceObject(
                 piece=S, kind=ObjectKind.CURVE, slope=Slope(1, 1), endpoints=("00",)
             )
+
+    def test_objects_are_immutable_values(self):
+        from dataclasses import FrozenInstanceError
+
+        w = wave(seam(S, Slope(2, 1), ("00", "10")), over="10")
+        with pytest.raises(FrozenInstanceError):
+            w.over = "00"
+        with pytest.raises(FrozenInstanceError):
+            del w.slope
+        assert not hasattr(w, "__dict__")
+        # object-keyed sets iterate in hash order, so the hash is pinned
+        assert hash(w) == hash((S, ObjectKind.WAVE, Slope(2, 1), ("00",), "10"))
+        assert repr(w) == (
+            "PieceObject(piece=<PieceKind.FOUR_HOLED_SPHERE: 'four_holed_sphere'>, "
+            "kind=<ObjectKind.WAVE: 'wave'>, slope=Slope(2, 1), endpoints=('00',), "
+            "over='10')"
+        )
+        assert pickle.loads(pickle.dumps(w)) == w
+        assert w != seam(S, Slope(2, 1), ("00", "10")) and w != "wave"
 
 
 class TestFrozenInstances:
@@ -304,6 +323,31 @@ class TestConfiguration:
             assert ctx.count(i, j) == ctx.count(j, i) == inum(objs[i], objs[j])
 
 
+@st.composite
+def configurations(draw, piece, height=12):
+    """2 to 8 distinct objects of one piece, each of a drawn kind."""
+    kinds = ("curve", "seam") if piece is T else ("curve", "seam", "wave")
+    one = st.sampled_from(kinds).flatmap(lambda k: piece_objects(piece, k, height))
+    return draw(st.lists(one, min_size=2, max_size=8, unique=True))
+
+
+class TestSharedContexts:
+    """The drivers count a fixture's or a sweep's pairs on one context, so
+    each count there must be the pair's count on its own."""
+
+    @pytest.mark.parametrize("piece", (T, S), ids=lambda piece: piece.value)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), shrink=st.integers(2, 9))
+    def test_shared_counts_equal_pair_counts(self, piece, data, shrink):
+        objs = data.draw(configurations(piece))
+        ctx = RealizationContext(objs)
+        scaled = ctx.scaled(shrink)
+        for i, j in itertools.permutations(range(len(objs)), 2):
+            pair = inum(objs[i], objs[j])
+            assert ctx.count(i, j) == pair
+            assert scaled.count(i, j) == pair
+
+
 class TestEndpointLinking:
     def test_always_alternates(self):
         for a, b in itertools.combinations(slopes_up_to(8), 2):
@@ -324,15 +368,6 @@ class TestSerialization:
 
         for obj in [*mixed_objects, torus_arc(Slope(1, 2)), curve(T, Slope(0, 1))]:
             assert PieceObject.from_json_dict(obj.to_json_dict()) == obj
-
-
-def test_strict_between_count():
-    f = Fraction
-    assert _strict_between_count(f(1, 2), f(5, 2)) == 2
-    assert _strict_between_count(f(0), f(1)) == 0
-    assert _strict_between_count(f(0), f(2)) == 1
-    assert _strict_between_count(f(3), f(3)) == 0
-    assert _strict_between_count(f(7, 3), f(-1, 3)) == 3
 
 
 @st.composite

@@ -8,8 +8,6 @@ from fareyflats.orbifold import (
     PieceKind,
     RealizationContext,
     _crossing_events,
-    _fund,
-    _fund_ends,
     curve,
     intersection_number,
     seam,
@@ -130,9 +128,8 @@ class TestCrossingWalks:
         # the period is half open, so that crossing is the event at t = 0
         objs = [curve(T, Slope(0, 1)), torus_arc(Slope(1, 0))]
         ctx = RealizationContext(objs)
-        a, b = _fund(objs[0], ctx, 0)
         events = _crossing_events(
-            objs[0], [(a, b, _fund_ends(objs[0]))], objs[1], _fund(objs[1], ctx, 1), ctx
+            objs[0], ctx.x_side(0)[:1], objs[1], ctx.y_side(1), ctx.scale
         )
         assert [t_x for t_x, _, _ in events] == [(0, ctx.scale)]
         comps = neighborhood_boundary(objs, ctx=ctx)

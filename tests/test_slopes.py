@@ -111,6 +111,15 @@ class TestNeighbors:
             brute = {w for w in verts if w != v and adjacent(v, w)}
             assert set(neighbors(v, 5)) == brute
 
+    @pytest.mark.parametrize("bound", [*range(1, 13), 40])
+    def test_det_two_mates_match_the_pool_scan(self, bound):
+        # the seeded couple suite draws from this list, so it must be the
+        # scan's list, in the scan's (sort_key) order
+        pool = slopes_up_to(bound)
+        for u in pool:
+            scan = [v for v in pool if abs(u.p * v.q - u.q * v.p) == 2]
+            assert neighbors(u, bound, 2) == scan
+
     def test_height_zero_has_no_neighbour_pairs(self):
         # The early return needs a zero coordinate (0/1 or 1/0), whose
         # fixed cofactor is +-1, above the height: only height 0 reaches it.

@@ -2,6 +2,7 @@ import random
 
 from fareyflats.orbifold import (
     PieceKind,
+    RealizationContext,
     curve,
     intersection_number,
     seam,
@@ -77,17 +78,17 @@ class TestDisjointProjectionSweep:
         s = seam(S, Slope(0, 1), ("00", "10"))
         twin = seam(S, Slope(2, 1), ("00", "10"))
         assert intersection_number(s, twin) == 0
-        assert _prs_case(s, twin) == "excluded"
+        assert _prs_case(RealizationContext((s, twin)), 0, 1) == "excluded"
 
     def test_hypotheses_reject_self_and_crossing(self):
         s = seam(S, Slope(0, 1))
-        assert _prs_case(s, s) is None
-        assert _prs_case(s, curve(S, Slope(1, 0))) is None
+        assert _prs_case(RealizationContext((s, s)), 0, 1) is None
+        assert _prs_case(RealizationContext((s, curve(S, Slope(1, 0)))), 0, 1) is None
 
     def test_hypotheses_accept_disjoint_single_shared_end(self):
         s = seam(S, Slope(0, 1), ("00", "10"))
         t = seam(S, Slope(1, 0), ("00", "01"))
-        assert _prs_case(s, t) == "checked"
+        assert _prs_case(RealizationContext((s, t)), 0, 1) == "checked"
 
 
 class TestSeededSuites:
