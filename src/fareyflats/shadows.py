@@ -9,6 +9,12 @@ coordinate projection consumes, so shadows model vertices as per-piece
 trace data, moves as annotated exchanges, and the audits check distance
 bounds between projected endpoint sets.
 
+Each check runs where its object is built: a Crossing checks that its
+trace's distinct components are pairwise disjoint, a VertexShadow that
+each trace lies on its slot's piece and the P_Q rule, a PathShadow that
+each move is as annotated.  A path vertex carries a Crossing over as the
+checked object, so each trace is checked once.
+
 All reports are instance evidence: nothing here certifies that a path is
 geodesic in the ambient graph.
 """
@@ -90,11 +96,26 @@ class Crossing:
     """Trace of the vertex on the piece: contained curves and/or arcs.
 
     Components belong to pairwise disjoint curves, so distinct
-    descriptors must have oracle crossing number zero.  An empty trace
+    descriptors must have oracle crossing number zero; equal ones are
+    parallel strands of one curve.  The check runs here, once per trace:
+    the distinct components are counted pairwise on one realization
+    context, which also refuses a trace that mixes pieces.  Which piece
+    the trace must lie on is the VertexShadow's check.  An empty trace
     records that the curve being followed misses this piece entirely.
     """
 
     trace: tuple[PieceObject, ...]
+
+    def __post_init__(self):
+        distinct = list(dict.fromkeys(self.trace))
+        if len(distinct) < 2:
+            return
+        ctx = RealizationContext(distinct)
+        for i, j in combinations(range(len(distinct)), 2):
+            if ctx.count(i, j) != 0:
+                raise ValueError(
+                    f"trace components {distinct[i]} and {distinct[j]} intersect"
+                )
 
 
 PieceData = InGraph | Crossing
@@ -109,6 +130,9 @@ class VertexShadow:
     converse direction cannot be seen locally: a vertex whose exchanged
     curve lives entirely outside the pieces still fails to contain Q, so
     in_pq=False is legal alongside all-InGraph data.
+
+    Each trace was checked for disjointness when its Crossing was built;
+    here each is only checked to lie on its slot's piece.
     """
 
     system: HandleSystem
@@ -118,10 +142,14 @@ class VertexShadow:
     def __post_init__(self):
         if len(self.data) != self.system.n:
             raise ValueError("one entry per piece required")
-        for i, entry in enumerate(self.data):
+        for kind, entry in zip(self.system.pieces, self.data):
             if isinstance(entry, InGraph):
                 continue
-            _validate_trace(entry.trace, self.system.pieces[i])
+            for obj in entry.trace:
+                if obj.piece is not kind:
+                    raise ValueError(
+                        f"{obj} does not live on a {kind.value} piece"
+                    )
         if self.in_pq and not all(
             isinstance(e, InGraph) for e in self.data
         ):
@@ -162,67 +190,18 @@ class VertexShadow:
         return VertexShadow(system, tuple(entries), in_pq=data["in_pq"])
 
 
-def _validate_trace(trace: tuple[PieceObject, ...], kind: PieceKind):
-    """Every component lives on the piece, and distinct components are
-    disjoint; equal ones are parallel strands of one curve.  The pairs
-    are counted on one realization context of the distinct components."""
-    distinct: list[PieceObject] = []
-    for obj in trace:
-        if obj.piece is not kind:
-            raise ValueError(f"{obj} does not live on a {kind.value} piece")
-        if obj not in distinct:
-            distinct.append(obj)
-    if len(distinct) < 2:
-        return
-    ctx = RealizationContext(distinct)
-    for i, j in combinations(range(len(distinct)), 2):
-        if ctx.count(i, j) != 0:
-            raise ValueError(
-                f"trace components {distinct[i]} and {distinct[j]} intersect"
-            )
-
-
 def shadow_in_pq(system: HandleSystem, slopes) -> VertexShadow:
     return VertexShadow(
         system, tuple(InGraph(s) for s in slopes), in_pq=True
     )
 
 
-@dataclass(frozen=True)
-class ProductVertexSet:
-    """A nonempty set of coordinate tuples; None marks a free coordinate."""
-
-    tuples: frozenset[tuple[Coordinate, ...]]
-
-    def __post_init__(self):
-        if not self.tuples:
-            raise ValueError("projection sets are never empty")
-        ranks = {len(t) for t in self.tuples}
-        if len(ranks) != 1:
-            raise ValueError("mixed ranks in one product set")
-
-    @property
-    def is_singleton(self) -> bool:
-        return len(self.tuples) == 1
-
-    def the_tuple(self) -> tuple[Coordinate, ...]:
-        if not self.is_singleton:
-            raise ValueError("not a singleton")
-        return next(iter(self.tuples))
-
-    def min_distance(self, other: "ProductVertexSet") -> int:
-        return min(
-            product_distance(a, b)
-            for a in self.tuples
-            for b in other.tuples
-        )
-
-
-def project_shadow(v: VertexShadow) -> ProductVertexSet:
+def project_shadow(v: VertexShadow) -> frozenset[tuple[Coordinate, ...]]:
     """All coordinate tuples reachable by projecting one trace per piece.
 
     InGraph pieces contribute their slope, crossed pieces the projection
-    of each trace component, and empty traces the free marker None.
+    of each trace component, and empty traces the free marker None.  The
+    set is never empty, and all its tuples have one entry per piece.
     """
     per_piece: list[frozenset[Coordinate]] = []
     for entry in v.data:
@@ -232,7 +211,12 @@ def project_shadow(v: VertexShadow) -> ProductVertexSet:
             per_piece.append(frozenset(o.slope for o in entry.trace))
         else:
             per_piece.append(frozenset((None,)))
-    return ProductVertexSet(frozenset(iproduct(*per_piece)))
+    return frozenset(iproduct(*per_piece))
+
+
+def _min_distance(a: frozenset, b: frozenset) -> int:
+    """Best product distance between a tuple of a and a tuple of b."""
+    return min(product_distance(s, t) for s in a for t in b)
 
 
 def orthogonality_check(v0: VertexShadow, v1: VertexShadow) -> bool:
@@ -249,11 +233,11 @@ def orthogonality_check(v0: VertexShadow, v1: VertexShadow) -> bool:
         raise ValueError("v1 must lie outside P_Q")
     if v0.system != v1.system:
         raise ValueError("shadows live over different handle systems")
-    target = project_shadow(v0).the_tuple()
     projected = project_shadow(v1)
-    if not projected.is_singleton:
-        return False
-    return product_distance(projected.the_tuple(), target) == 0
+    return (
+        len(projected) == 1
+        and _min_distance(projected, project_shadow(v0)) == 0
+    )
 
 
 class MoveKind(Enum):
@@ -429,9 +413,9 @@ def audit_projection_bound(path: PathShadow) -> dict:
     under which the distance bound "there exist projections within r" is
     checked.  Instance evidence only.
     """
-    first = project_shadow(path.vertices[0])
-    last = project_shadow(path.vertices[-1])
-    best = first.min_distance(last)
+    best = _min_distance(
+        project_shadow(path.vertices[0]), project_shadow(path.vertices[-1])
+    )
     return {
         "r": path.length,
         "best": best,
@@ -482,16 +466,16 @@ def projection_gap_scenario() -> tuple[PathShadow, dict]:
     v0_near = VertexShadow(
         system, (Crossing((s1,)), Crossing(())), in_pq=False
     )
-    report["without_far_trace"] = project_shadow(v0_near).min_distance(
-        project_shadow(v1)
+    report["without_far_trace"] = _min_distance(
+        project_shadow(v0_near), project_shadow(v1)
     )
 
     # control: a replacement disjoint from the seam stays within one step
     v1_control = VertexShadow(
         system, (InGraph(Slope(0, 1)), Crossing(())), in_pq=False
     )
-    report["disjoint_control"] = project_shadow(v0).min_distance(
-        project_shadow(v1_control)
+    report["disjoint_control"] = _min_distance(
+        project_shadow(v0), project_shadow(v1_control)
     )
     return path, report
 
@@ -500,14 +484,24 @@ def projection_gap_scenario() -> tuple[PathShadow, dict]:
 # seeded fixture generators
 
 
-def _disjoint_companion(
+def _crossed_trace(
     rng: random.Random, kind: PieceKind, slope: Slope
-) -> PieceObject:
-    """An arc-like object of the given slope, hence disjoint from the curve."""
-    if kind is PieceKind.ONE_HOLED_TORUS:
-        return torus_arc(slope)
-    s = random_seam(rng, slope.height, slope)
-    return s if rng.random() < 0.5 else random_wave(rng, slope.height, s)
+) -> Crossing:
+    """The piece's own curve and one or two arcs of its slope.
+
+    Each arc is disjoint from the curve; the Crossing checks the arcs
+    against each other.
+    """
+    strands = []
+    for _ in range(rng.randrange(1, 3)):
+        if kind is PieceKind.ONE_HOLED_TORUS:
+            strands.append(torus_arc(slope))
+        else:
+            s = random_seam(rng, slope.height, slope)
+            strands.append(
+                s if rng.random() < 0.5 else random_wave(rng, slope.height, s)
+            )
+    return Crossing((curve(kind, slope), *strands))
 
 
 def random_orthogonal_pair(
@@ -528,15 +522,7 @@ def random_orthogonal_pair(
         if i not in hit:
             data.append(InGraph(slopes[i]))
             continue
-        kind = system.pieces[i]
-        own = curve(kind, slopes[i])
-        strands = tuple(
-            _disjoint_companion(rng, kind, slopes[i])
-            for _ in range(rng.randrange(1, 3))
-        )
-        trace = (own,) + strands
-        _validate_trace(trace, kind)  # oracle-backed disjointness
-        data.append(Crossing(trace))
+        data.append(_crossed_trace(rng, system.pieces[i], slopes[i]))
     v1 = VertexShadow(system, tuple(data), in_pq=False)
     return v0, v1
 
@@ -593,20 +579,15 @@ def random_path_shadow(
                 new_data[i] = InGraph(nxt)
                 cur[i] = nxt
             else:
-                strands = tuple(
-                    _disjoint_companion(rng, kind, cur[i])
-                    for _ in range(rng.randrange(1, 3))
-                )
-                own = curve(kind, cur[i])
-                trace = (own,) + strands
-                _validate_trace(trace, kind)
+                crossing = _crossed_trace(rng, kind, cur[i])
+                strands = crossing.trace[1:]
                 move = MoveAnnotation(
                     kind=MoveKind.SECOND,
                     removed=(),
                     added=tuple((i, o) for o in strands),
                 )
                 new_data = list(v_prev.data)
-                new_data[i] = Crossing(trace)
+                new_data[i] = crossing
                 crossed[i] = strands
         in_pq = all(isinstance(e, InGraph) for e in new_data)
         vertices.append(
