@@ -20,7 +20,7 @@ from fareyflats.flats import (
 
 
 def main() -> None:
-    print("window certificates for the shipped geodesic lines:")
+    print("window certificates for the default geodesic lines:")
     for n in (1, 2, 3):
         report = certify_flat(default_embedding(n), window=5)
         print(f"   rank {n}: window [-5,5]^{n},"

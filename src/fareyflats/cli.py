@@ -521,8 +521,11 @@ def _emit(args, result: Result) -> None:
     if dest is None:
         sys.stdout.write(payload)
     else:
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        dest.write_text(payload)
+        try:
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            dest.write_text(payload)
+        except OSError as exc:
+            raise CliError(f"cannot write {dest}: {exc}") from None
 
 
 @functools.cache

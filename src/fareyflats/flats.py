@@ -6,8 +6,9 @@ floor((3g + r - 2)/2) members.  Fixing one family, the decompositions
 containing its complementary multicurve form a product of Farey graphs,
 one factor per piece, metrized by the sum of factor distances.  This
 module certifies isometric embeddings of Z^n into that product over
-finite windows, using shipped geodesic lines that are re-verified (and
-regenerable) by a deterministic search.
+finite windows.  The default lines are grown from fixed seed edges by a
+deterministic search, and :func:`certify_flat` checks each one on its
+window (:meth:`GeodesicLine.check_window`) before it is used.
 
 Both exhaustive checks run on tables built once: :func:`certify_flat`
 sums per-factor excess rows d(i, j) - |i - j| over a window's points, and
@@ -18,9 +19,7 @@ reports the same counts and witnesses.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 from itertools import product
 from operator import add
 from typing import Sequence
@@ -82,9 +81,6 @@ def decompose_template(surface: SurfaceDesc) -> Template:
     g, r = surface.genus, surface.boundary
     tori = g
     spheres = (g + r) // 2 - 1
-    if spheres < 0:
-        # spheres need four ends; tiny surfaces use tori only
-        spheres = 0
     has_pants = (g + r) % 2 == 1
     t = Template(tori=tori, spheres=spheres, has_pants=has_pants)
     expected = (surface.complexity + 1) // 2
@@ -153,13 +149,6 @@ class GeodesicLine:
             "base_index": self.base_index,
         }
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "GeodesicLine":
-        return GeodesicLine(
-            slopes=tuple(Slope.parse(s) for s in data["slopes"]),
-            base_index=int(data["base_index"]),
-        )
-
 
 @dataclass(frozen=True)
 class LatticeEmbedding:
@@ -184,8 +173,12 @@ class LatticeEmbedding:
                 raise ValueError(msg)
 
 
+# search_geodesic_line tries no candidate endpoint taller than this
+SEARCH_HEIGHT_CAP = 512
+
+
 def search_geodesic_line(
-    half_length: int, seed_pair: tuple[Slope, Slope], height_cap: int = 512
+    half_length: int, seed_pair: tuple[Slope, Slope]
 ) -> GeodesicLine:
     """Grow a geodesic window around a seed edge by deterministic DFS.
 
@@ -204,24 +197,24 @@ def search_geodesic_line(
     # heights are capped at a small multiple of the window's tallest
     # slope; geodesic continuations never need more, and the cap keeps
     # the neighbor scan and the exact distance checks cheap.
-    def grow(line: list[Slope], want: int, cap: int) -> list[Slope] | None:
+    def grow(line: list[Slope], want: int) -> list[Slope] | None:
         if len(line) >= want:
             return line
         extend_right = len(line) % 2 == 0
         tip = line[-1] if extend_right else line[0]
         far = line[0] if extend_right else line[-1]
-        local = min(cap, max(8, 4 * max(s.height for s in line)))
+        local = min(SEARCH_HEIGHT_CAP, max(8, 4 * max(s.height for s in line)))
         for cand in neighbors(tip, local):
             if distance(cand, far) != len(line):
                 continue
             nxt = line + [cand] if extend_right else [cand] + line
-            found = grow(nxt, want, cap)
+            found = grow(nxt, want)
             if found is not None:
                 return found
         return None
 
     want = 2 * half_length + 1
-    grown = grow([a, b], want, height_cap)
+    grown = grow([a, b], want)
     if grown is None:
         raise RuntimeError("geodesic search exhausted below the height cap")
     # the seed edge starts at position 0; recover the base offset
@@ -238,22 +231,15 @@ DEFAULT_HALF_LENGTH = 6
 
 
 def default_embedding(n: int) -> LatticeEmbedding:
-    """The shipped verified geodesics, cycled to rank n."""
-    data = json.loads(
-        resources.files("fareyflats").joinpath("data/geodesics.json").read_text()
-    )
-    lines = [GeodesicLine.from_json_dict(d) for d in data["lines"]]
+    """The lines grown afresh (no cache) from DEFAULT_SEEDS, cycled to rank n."""
     if n < 1:
         raise ValueError("rank must be positive")
+    lines = [
+        search_geodesic_line(DEFAULT_HALF_LENGTH, seed) for seed in DEFAULT_SEEDS
+    ]
     return LatticeEmbedding(
         lines=tuple(lines[i % len(lines)] for i in range(n))
     )
-
-
-def regenerate_default_lines() -> list[GeodesicLine]:
-    return [
-        search_geodesic_line(DEFAULT_HALF_LENGTH, seed) for seed in DEFAULT_SEEDS
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,8 @@ class Slope:
     @staticmethod
     def parse(text: str) -> "Slope":
         """Parse the wire format "p/q" (q >= 0 after canonicalization)."""
+        if not isinstance(text, str):
+            raise ValueError(f"slope must be written p/q, got {text!r}")
         parts = text.strip().split("/")
         if len(parts) != 2:
             raise ValueError(f"slope must be written p/q, got {text!r}")

@@ -52,10 +52,14 @@ def triangle_fixture(tmp_path):
     return str(path)
 
 
-def gap_fixture(tmp_path):
+def gap_fixture_data():
     path_shadow, _ = projection_gap_scenario()
+    return path_shadow.to_json_dict()
+
+
+def gap_fixture(tmp_path):
     path = tmp_path / "gap.json"
-    path.write_text(json.dumps(path_shadow.to_json_dict()))
+    path.write_text(json.dumps(gap_fixture_data()))
     return str(path)
 
 
@@ -247,6 +251,15 @@ class TestFareyCommands:
         )
         assert code == 1
         assert "cannot read" in err
+
+    def test_check_subgraph_rejects_a_slope_that_is_not_text(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "number.json"
+        path.write_text(json.dumps({"vertices": [1], "edges": []}))
+        code, out, err = run(capsys, ["farey", "check-subgraph", str(path)])
+        assert code == 1 and out == ""
+        assert "bad subgraph fixture" in err
 
 
 class TestLemmasCommands:
@@ -575,6 +588,16 @@ class TestScenarioCommands:
         assert code == 1
         assert "bad path-shadow fixture" in err
 
+    def test_audit_rejects_a_slope_that_is_not_text(self, capsys, tmp_path):
+        data = gap_fixture_data()
+        assert data["vertices"][1]["data"][0] == {"in_graph": "2/1"}
+        data["vertices"][1]["data"][0] = {"in_graph": 3}
+        path = tmp_path / "number.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["scenario", "audit", str(path)])
+        assert code == 1 and out == ""
+        assert "bad path-shadow fixture" in err
+
 
 class TestFlatsCommands:
     def test_certify_line(self, capsys):
@@ -759,6 +782,20 @@ class TestPlumbing:
         assert json.loads(target.read_text())["distance"] == 1
         assert not (tmp_path / "elsewhere").exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("where", ["a directory", "under a file"])
+    def test_unwritable_output_exits_1(self, capsys, tmp_path, where):
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "plain").write_text("")
+        target = {
+            "a directory": tmp_path / "taken",
+            "under a file": tmp_path / "plain" / "out.json",
+        }[where]
+        argv = ["farey", "distance", "0/1", "1/0", "--output", str(target)]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert f"cannot write {target}" in err
+        assert (tmp_path / "plain").read_text() == ""
 
 
 # The surface of every command, written from the hand-built parser that the

@@ -29,7 +29,6 @@ USERS = [
 
 ALLOWED = {
     "tightness_check": "an oracle: checks a realization is in minimal position",
-    "regenerate_default_lines": "regenerates data/geodesics.json",
     "scaled": "the stability oracle: recounts with the wave offsets shrunk",
     "error": "_Parser.error overrides argparse's, which argparse calls",
 }
