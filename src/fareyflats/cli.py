@@ -46,7 +46,7 @@ from .shadows import (
     projection_gap_scenario,
     random_orthogonal_pair,
 )
-from .slopes import Slope, distance
+from .slopes import Slope, distance, excerpt
 
 ENV_OUTPUT_DIR = "FAREYFLATS_OUTPUT_DIR"
 
@@ -137,7 +137,7 @@ def _slope(text: str) -> Slope:
     try:
         return Slope.parse(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad slope {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad slope {excerpt(text)}: {exc}") from None
 
 
 def _fixture(path: str, parse, what: str):

@@ -2,8 +2,8 @@
 
 Every search here runs on integer vertex indices: one level-synchronous
 breadth-first search, :func:`_bfs_levels`, over a neighbour table
-``adj[v]`` of ints (:attr:`FareyGraph.adj`, a ladder, or the tables a
-subgraph check builds from a ball's edges), which returns a level list
+``adj[v]`` of ints (:attr:`FareyGraph.adj`, or the tables a subgraph
+check builds from a ball's edges), which returns a level list
 and the discovery order, and :func:`_walk_back`, which turns the levels
 into every shortest path to a target.  Slopes are built only for output:
 the vertices of the returned paths and witnesses.  :meth:`FareyGraph.bfs`
@@ -19,12 +19,14 @@ only the requested targets.  Balls and subgraph checks also work
 inside an explicit truncation.  Each call builds the truncation it needs;
 nothing is cached between calls.
 
-Geodesic enumeration needs no truncation.  Every geodesic between two
-slopes lies in their ladder, the strip of Farey triangles crossed by the
-hyperbolic segment joining them, which is read off the continued fraction
-of one endpoint in the frame where the other is 1/0.  No ladder vertex is
-higher than the higher endpoint.  :func:`geodesic_count` counts the
-geodesics on the same ladder without listing them.
+Geodesic enumeration needs no truncation and no search.  Every geodesic
+between two slopes lies in the fans of Farey triangles crossed by the
+hyperbolic segment joining them, one fan per partial quotient of one
+endpoint in the frame where the other is 1/0, and no fan vertex is higher
+than the higher endpoint.  One walk over the partial quotients,
+:func:`_fans`, says which of the two convergents before each convergent
+its geodesics come through; :func:`geodesics` steps back along that
+from one end to the other, and :func:`geodesic_count` sums it as counts.
 """
 
 from __future__ import annotations
@@ -69,9 +71,9 @@ def _walk_back(adj, level: list[int], target: int) -> list[tuple[int, ...]]:
 
     level holds the breadth-first levels from the source, the one vertex
     at level 0, so each path climbs down the levels from target to it.
+    The target must have been reached; the one caller, _leaving_path,
+    searches a ball, which is connected.
     """
-    if level[target] < 0:
-        return []
     paths = []
     stack = [(target, (target,))]
     while stack:
@@ -229,8 +231,8 @@ class GeodesicSet:
 
     height_bound is the larger of the requested bound and the endpoints'
     heights; no path vertex exceeds it.  truncated is always False, since
-    the ladder is exhaustive; the field and its JSON key are kept so the
-    output format does not change.
+    the paths are all the geodesics; the field and its JSON key are kept
+    so the output format does not change.
     """
 
     a: Slope
@@ -252,100 +254,82 @@ class GeodesicSet:
         }
 
 
-def _ladder(
-    a: Slope, b: Slope
-) -> tuple[list[tuple[int, int]], list[list[int]], int]:
-    """The ladder from a to b, less the spokes no geodesic uses.
+def _fans(a: Slope, b: Slope):
+    """The fans of Farey triangles that the segment from a to b crosses.
 
-    Returns the vertices as integer vectors in a's coordinates, their
-    neighbour table and the index of b; index 0 is a.  In the frame where
-    a is 1/0, b is p/q = [a0; a1, ..., an].  The ladder starts with the
-    edge 1/0 -- a0/1; fan k then pivots on the convergent p_{k-1}/q_{k-1},
-    and its spokes (p_{k-2} + j*p_{k-1})/(q_{k-2} + j*q_{k-1}), j = 0..a_k,
-    each join the pivot and the next spoke.  Spoke 0 is the previous
-    convergent, already joined to the pivot, so every later spoke is a new
-    vertex with the next index.  For a_k >= 3 only the end spokes are kept:
-    an inner spoke touches only the pivot and its two neighbours, so a
-    geodesic through it would walk the fan end to end, a_k steps where the
-    pivot takes 2.  Convergents are carried as vectors in a's coordinates,
-    through the inverse frame map, and as indices, so nothing is hashed.
+    In the frame where a is 1/0, b is p/q = [a0; a1, ..., an] with
+    convergents C_k = p_k/q_k and C_-1 = 1/0, and the segment crosses the
+    edge 1/0 -- a0/1 = C_0 and then one fan per later partial quotient:
+    fan k pivots on C_{k-1}, and its spokes C_{k-2} + j*C_{k-1},
+    j = 0..a_k, run from C_{k-2} to C_k, each joined to the pivot and to
+    the next spoke.  Every path from a to C_k passes C_{k-1} or C_{k-2},
+    and one that avoids the pivot walks the whole fan, so the distances
+    D_k from a obey D_-1 = 0, D_0 = 1 and D_k = min(D_{k-1} + 1,
+    D_{k-2} + a_k), as in :func:`fareyflats.slopes.distance`.
+
+    Yields (pivot, spoke, C_k) for k = 0..n, the vectors in a's
+    coordinates through the inverse frame map, and nothing when a == b.
+    pivot says whether D_{k-1} + 1 = D_k.  spoke is None unless
+    D_{k-2} + a_k = D_k, which needs a_k <= 2 since D_k <= D_{k-2} + 2;
+    then it is spoke 1, C_{k-2} + C_{k-1}: the fan's one inner spoke when
+    a_k = 2, and the yielded C_k object itself when a_k = 1.
     """
-    vecs = [(a.p, a.q)]
-    adj: list[list[int]] = [[]]
     x, y, p, q = _frame(a, b)
     if q == 0:  # det(a, b) = 0: reduced slopes, so a == b
-        return vecs, adj, 0
+        return
     a0, rem = divmod(p, q)
-    vecs.append((a0 * a.p - y, a0 * a.q + x))
-    adj[0].append(1)
-    adj.append([0])
-    prev, cur = 0, 1
+    prev, cur = (a.p, a.q), (a0 * a.p - y, a0 * a.q + x)
+    yield True, None, cur
+    before, d = 0, 1
     while rem:
         ak, q, rem = q // rem, rem, q % rem
-        (pp, pq), (cp, cq) = vecs[prev], vecs[cur]
-        if ak <= 2:
-            spoke = prev
-            for j in range(1, ak + 1):
-                i = len(vecs)
-                vecs.append((pp + j * cp, pq + j * cq))
-                adj.append([cur, spoke])
-                adj[cur].append(i)
-                adj[spoke].append(i)
-                spoke = i
-        else:
-            spoke = len(vecs)
-            vecs.append((pp + ak * cp, pq + ak * cq))
-            adj.append([cur])
-            adj[cur].append(spoke)
-        prev, cur = cur, spoke
-    return vecs, adj, cur
+        (pp, pq), (cp, cq) = prev, cur
+        prev, cur = cur, (pp + ak * cp, pq + ak * cq)
+        via = before + ak
+        before, d = d, (via if via <= d else d + 1)
+        spoke = None if via > d else cur if ak == 1 else (pp + cp, pq + cq)
+        yield before < d, spoke, cur
 
 
 def geodesics(a: Slope, b: Slope, height_bound: int) -> GeodesicSet:
-    """Every geodesic from a to b, found by breadth-first search in the ladder.
+    """Every geodesic from a to b, walked back from b over the fans.
 
-    Every path runs from index 0 to the target, so its ends are a and b
-    themselves, and a slope is built only for each interior vertex.
+    A geodesic to C_k is a geodesic to C_{k-1} and then C_k, or one to
+    C_{k-2} and then fan k's spokes, as :func:`_fans` says, so each
+    geodesic is found by stepping back from b = C_n to a = C_-1.  A slope
+    is built for each convergent and for each inner spoke a path uses.
     """
-    vecs, adj, target = _ladder(a, b)
-    level, _ = _bfs_levels(adj, 0)
-    paths = _walk_back(adj, level, target)
-    slope = {target: b, 0: a}
-    for path in paths:
-        for i in path[1:-1]:
-            if i not in slope:
-                slope[i] = Slope(*vecs[i])
-    out = [tuple([slope[i] for i in path]) for path in paths]
-    if len(out) > 1:  # the paths share both ends, so interiors decide
-        out.sort(key=lambda path: [s.sort_key() for s in path[1:-1]])
-    return GeodesicSet(
-        a=a,
-        b=b,
-        length=level[target],
-        height_bound=max(height_bound, a.height, b.height),
-        paths=tuple(out),
-        truncated=False,
-    )
+    fans = list(_fans(a, b))
+    conv = [Slope(*end) for _, _, end in fans[:-1]] + [b, a]  # conv[-1] is a
+    paths, stack = [], [(len(fans) - 1, (b,))]
+    while stack:
+        k, tail = stack.pop()
+        if k < 0:
+            paths.append(tail)
+            continue
+        pivot, spoke, end = fans[k]
+        if pivot:
+            stack.append((k - 1, (conv[k - 1],) + tail))
+        if spoke is not None:
+            inner = () if spoke is end else (Slope(*spoke),)
+            stack.append((k - 2, (conv[k - 2],) + inner + tail))
+    if len(paths) > 1:  # the paths share both ends, so interiors decide
+        paths.sort(key=lambda path: [s.sort_key() for s in path[1:-1]])
+    height = max(height_bound, abs(a.p), a.q, abs(b.p), b.q)
+    return GeodesicSet(a, b, len(paths[0]) - 1, height, tuple(paths), False)
 
 
 def geodesic_count(a: Slope, b: Slope) -> int:
     """The number of geodesics from a to b, counted without listing them.
 
-    A vertex's count of shortest paths from a is the sum of its
-    neighbours' one level down, so one pass over the ladder's levels in
-    discovery order (every level before the next) costs O(ladder size),
-    however many geodesics there are.
+    ways_k is ways_{k-1} when D_{k-1} + 1 = D_k, plus ways_{k-2} when
+    D_{k-2} + a_k = D_k (see :func:`_fans`): one pass over the partial
+    quotients, however many geodesics there are.
     """
-    _, adj, target = _ladder(a, b)
-    level, order = _bfs_levels(adj, 0)
-    ways = [0] * len(adj)
-    ways[0] = 1
-    for v in order:
-        d = level[v]
-        for w in adj[v]:
-            if level[w] == d + 1:
-                ways[w] += ways[v]
-    return ways[target]
+    older, ways = 0, 1
+    for pivot, spoke, _ in _fans(a, b):
+        older, ways = ways, (ways if pivot else 0) + (0 if spoke is None else older)
+    return ways
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ explicit height bound.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
@@ -91,21 +92,32 @@ class Slope:
     @staticmethod
     def parse(text: str) -> "Slope":
         """Parse the wire format "p/q" (q >= 0 after canonicalization)."""
-        if not isinstance(text, str):
-            raise ValueError(f"slope must be written p/q, got {text!r}")
-        parts = text.strip().split("/")
-        if len(parts) != 2:
-            raise ValueError(f"slope must be written p/q, got {text!r}")
+        parts = text.strip().split("/") if isinstance(text, str) else []
         try:
-            p, q = int(parts[0]), int(parts[1])
+            p, q = map(int, parts)  # not two parts: ValueError too
         except ValueError as exc:
-            raise ValueError(f"slope must be written p/q, got {text!r}") from exc
+            # int() refuses a run of more digits than the interpreter's
+            # string-conversion limit (none before 3.10.7) before the rest
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and any(sum(map(str.isdigit, t)) > limit for t in parts):
+                raise ValueError(
+                    f"slope {excerpt(text)} has more than {limit} digits in p "
+                    "or q, the interpreter's integer string-conversion limit"
+                ) from exc
+            raise ValueError(f"slope must be written p/q, got {excerpt(text)}") from exc
         return Slope(p, q)
 
 
 # The slot descriptors write the fields past the frozen __setattr__.
 _set_p = Slope.p.__set__
 _set_q = Slope.q.__set__
+
+
+def excerpt(value) -> str:
+    """repr(value), cut after 40 characters, so huge input is not echoed."""
+    shown = repr(value)
+    return shown if len(shown) <= 40 else shown[:40] + "..."
+
 
 INFINITY = Slope(1, 0)
 

@@ -715,6 +715,13 @@ class TestPlumbing:
         assert code == 1
         assert "bad slope" in err
 
+    def test_oversized_slope_names_the_limit_and_is_not_echoed(self, capsys):
+        code, out, err = run(capsys, ["farey", "distance", "0/1", "1/" + "9" * 5000])
+        assert code == 1
+        assert out == ""
+        assert "bad slope" in err and "integer string-conversion limit" in err
+        assert err.count("9") < 200
+
     def test_dot_without_drawing(self, capsys):
         code, _, err = run(
             capsys, ["farey", "distance", "0/1", "1/0", "--format", "dot"]

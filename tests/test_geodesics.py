@@ -103,7 +103,7 @@ def truncated_geodesics(a, b, height):
 
     Breadth-first levels from a in the truncated graph, then a walk back
     from b through strictly decreasing levels.  It shares nothing with the
-    ladder, which makes it the ladder's oracle.
+    walk over the fans, which makes it that walk's oracle.
     """
     graph = graph_at(height)
     level = graph.bfs(a)
@@ -155,6 +155,34 @@ def test_count_matches_enumeration_height_six():
             assert geodesic_count(a, b) == len(geodesics(a, b, 1).paths)
 
 
+def all_twos(n):
+    """[0; 2, ..., 2] with n twos."""
+    prev, cur = (1, 0), (0, 1)
+    for _ in range(n):
+        prev, cur = cur, (2 * cur[0] + prev[0], 2 * cur[1] + prev[1])
+    return Slope(*cur)
+
+
+def fibonacci(n):
+    """F(n), with F(1) = F(2) = 1."""
+    x, y = 0, 1
+    for _ in range(n):
+        x, y = y, x + y
+    return x
+
+
+def test_count_is_fibonacci_on_the_all_twos_slopes():
+    # Every fan has a_k = 2, so each convergent's geodesics come from both
+    # of the two before it: F(n + 2) geodesics of length n + 1.
+    for n in range(13):
+        g = geodesics(INFINITY, all_twos(n), 1)
+        assert g.length == n + 1
+        assert geodesic_count(INFINITY, all_twos(n)) == len(g.paths) == fibonacci(n + 2)
+    count = geodesic_count(INFINITY, all_twos(300))
+    assert count == fibonacci(302) and len(str(count)) == 63
+    assert distance(INFINITY, all_twos(300)) == 301
+
+
 LARGE = 10**6
 
 
@@ -164,7 +192,7 @@ def large_slopes(draw):
 
     Half are drawn uniformly; the other half are continued fractions with
     partial quotients 1 to 3, cut before their height passes 10**6, whose
-    ladders keep every spoke and can hold many geodesics.
+    fans have inner spokes and can hold many geodesics.
     """
     if draw(st.booleans()):
         q = draw(st.integers(0, LARGE))
@@ -210,6 +238,15 @@ class TestLadderProperties:
             assert path[0] == a and path[-1] == b
             assert all(adjacent(u, w) for u, w in zip(path, path[1:]))
             assert all(v.height <= cap for v in path)
+
+    @settings(deadline=None)
+    @given(large_slopes(), large_slopes())
+    def test_reversing_the_ends_reverses_the_paths(self, a, b):
+        assert geodesic_count(a, b) == geodesic_count(b, a)
+        there, back = geodesics(a, b, 1).paths, geodesics(b, a, 1).paths
+        assert sorted(back, key=path_key) == sorted(
+            (path[::-1] for path in there), key=path_key
+        )
 
     @settings(deadline=None)
     @given(large_slopes(), large_slopes(), st.integers(0, 2**32))
@@ -293,6 +330,8 @@ class TestSubgraphChecks:
         sub = Subgraph(vertices=frozenset((Slope(0, 1), Slope(13, 1))), edges=frozenset())
         with pytest.raises(ValueError, match="vertex 13/1 is outside the host ball"):
             check_subgraph(sub, host)
+        with pytest.raises(ValueError, match=r"outside the host ball: \['13/1'\]"):
+            Subgraph.induced(sub.vertices, host)
 
     @pytest.mark.parametrize("center, radius, height", [("0/1", 6, 12), ("2/5", 2, 9)])
     def test_ball_lists_vertices_in_sort_key_order(self, center, radius, height):

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 from math import gcd
 from dataclasses import FrozenInstanceError
 
@@ -54,6 +55,15 @@ class TestCanonicalForm:
         for text in ["3", "1/2/3", "a/b", "0/0", 3, None, ["0/1"]]:
             with pytest.raises(ValueError):
                 Slope.parse(text)
+
+    def test_parse_names_the_digit_limit_and_quotes_a_bounded_prefix(self):
+        text = "1/" + "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ValueError, match="integer string-conversion limit") as info:
+            Slope.parse(text)
+        assert len(str(info.value)) < 200
+        with pytest.raises(ValueError, match="must be written p/q") as info:
+            Slope.parse("1/" + "x" * 5000)
+        assert len(str(info.value)) < 200
 
     def test_height(self):
         assert INFINITY.height == 1
@@ -120,6 +130,10 @@ class TestNeighbors:
         for u in pool:
             scan = [v for v in pool if abs(u.p * v.q - u.q * v.p) == 2]
             assert neighbors(u, bound, 2) == scan
+
+    def test_pool_height_below_one_rejected(self):
+        with pytest.raises(ValueError, match="height bound must be >= 1"):
+            slopes_up_to(0)
 
     def test_height_zero_has_no_neighbour_pairs(self):
         # The early return needs a zero coordinate (0/1 or 1/0), whose
@@ -255,8 +269,8 @@ class TestDistanceProperties:
     @settings(deadline=None)
     @given(BIG, BIG)
     def test_matches_the_ladder(self, a, b):
-        # The ladder is built by _frame and searched breadth first; the
-        # distance kernel shares no code with it.
+        # The geodesics are read off the fans after _frame; the distance
+        # kernel shares no code with that walk.
         assume(geodesic_count(a, b) <= 4096)
         assert distance(a, b) == geodesics(a, b, 1).length
 
