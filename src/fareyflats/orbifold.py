@@ -50,10 +50,10 @@ determinant formula is assumed anywhere in this module.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import FrozenInstanceError
 from enum import Enum
-from functools import cmp_to_key
 from typing import Sequence
 
 from .slopes import Slope, _extgcd, slopes_up_to
@@ -808,42 +808,36 @@ def tightness_check(
 # endpoint linking of torus arcs
 
 
-def _angle_cmp_from(base: IntPoint):
-    """Strict ccw order starting just after the direction base."""
+def _ccw_order(base: IntPoint, rays: Sequence[IntPoint]) -> list[int]:
+    """Indices of rays in strict counterclockwise order, starting just after
+    the direction base.
 
-    def dot(a: IntPoint, b: IntPoint) -> int:
-        return a[0] * b[0] + a[1] * b[1]
-
-    def half(v: IntPoint) -> int:
-        c = _cross(base, v)
-        if c > 0:
-            return 0
-        if c < 0:
-            return 1
-        if dot(base, v) < 0:
-            return 0  # exactly opposite: angle pi, end of first half
-        raise AssertionError("ray coincides with the reference ray")
-
-    def cmp(a: IntPoint, b: IntPoint) -> int:
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        c = _cross(a, b)
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
+    Inside each open half-plane of base the angle grows with -dot/cross,
+    which times the lcm of the nonzero |cross| is an exact integer key.
+    The ray opposite base closes the first half.
+    """
+    crosses = [_cross(base, v) for v in rays]
+    unit = math.lcm(*(c for c in crosses if c))
+    keys = []
+    for v, c in zip(rays, crosses):
+        dot = base[0] * v[0] + base[1] * v[1]
+        if c:
+            keys.append((c < 0, 0, -dot * (unit // c)))
+        elif dot < 0:
+            keys.append((False, 1, 0))
+        else:
+            raise AssertionError("ray coincides with the reference ray")
+    if len(set(keys)) != len(keys):
         raise AssertionError("two rays share a direction; realization bug")
-
-    return cmp
+    return sorted(range(len(rays)), key=keys.__getitem__)
 
 
 def endpoint_linking(a: PieceObject, b: PieceObject) -> bool:
     """Whether two torus arcs' end directions alternate around the mark.
 
-    Each arc leaves the marked point in directions +-(q, p); read
-    counter-clockwise from a's first ray, the other three rays must belong
-    to b, a, b.
+    Each arc leaves the marked point in directions +-(q, p).  `_ccw_order`
+    reads a's second ray and b's two counterclockwise from a's first; the
+    arcs link when a's second ray comes between b's two.
     """
     for obj in (a, b):
         if (
@@ -855,7 +849,5 @@ def endpoint_linking(a: PieceObject, b: PieceObject) -> bool:
         raise ValueError("arcs must have distinct slopes")
     d_a = (a.slope.q, a.slope.p)
     d_b = (b.slope.q, b.slope.p)
-    rays = [((-d_a[0], -d_a[1]), "a"), (d_b, "b"), ((-d_b[0], -d_b[1]), "b")]
-    cmp = _angle_cmp_from(d_a)
-    rays.sort(key=cmp_to_key(lambda x, y: cmp(x[0], y[0])))
-    return [o for _, o in rays] == ["b", "a", "b"]
+    rays = [(-d_a[0], -d_a[1]), d_b, (-d_b[0], -d_b[1])]
+    return _ccw_order(d_a, rays)[1] == 0

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .orbifold import (
@@ -54,7 +53,7 @@ from .orbifold import (
     partner_label,
     seam,
     wave,
-    _angle_cmp_from,
+    _ccw_order,
     _corner_units,
     _crossing_events,
 )
@@ -279,14 +278,15 @@ class _Walk:
                 back.append((dart + 1, behind_ray, back_chart))
 
     def _rotate(self, rays, mirror, end):
-        """Point each dart arriving at a node at the ray counterclockwise
-        after its reverse; the walk never arrives along a second lift."""
+        """Point each dart arriving at a node at the ray that follows its
+        reverse in the `_ccw_order` of the node's rays and their mirror
+        lifts; the walk never arrives along a second lift."""
         lifts = list(rays)
         if mirror is not None:
             lifts += [(d, mirror.vec(v), mirror.compose(chart)) for d, v, chart in rays]
-        cmp = _angle_cmp_from(lifts[0][1])
-        by_angle = cmp_to_key(lambda a, b: cmp(lifts[a][1], lifts[b][1]))
-        order = [0] + sorted(range(1, len(lifts)), key=by_angle)
+        order = [0] + [
+            1 + k for k in _ccw_order(lifts[0][1], [v for _, v, _ in lifts[1:]])
+        ]
         for k, idx in enumerate(order):
             if idx >= len(rays):
                 continue

@@ -144,6 +144,10 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_geodesic_line(2, (sl("0/1"), sl("2/1")))
 
+    def test_rank_must_be_positive(self):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            default_embedding(0)
+
     def test_shipped_lines_are_geodesic(self):
         for n in (1, 2, 3):
             emb = default_embedding(n)
@@ -178,6 +182,16 @@ class TestCertifyFlat:
         lo, hi = bad["witness"]
         gap = hi - lo
         assert distance(ray.point(lo), ray.point(hi)) < gap
+
+    def test_window_must_be_positive(self):
+        with pytest.raises(ValueError, match="window must be positive"):
+            certify_flat(default_embedding(1), window=0)
+
+    def test_map_point_rejects_the_wrong_rank(self):
+        emb = default_embedding(2)
+        assert len(emb.map_point((0, 1))) == 2
+        with pytest.raises(ValueError, match="wrong rank"):
+            emb.map_point((0, 1, 2))
 
     def test_window_larger_than_line_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import pickle
 import time
 from fractions import Fraction
@@ -12,6 +13,7 @@ from fareyflats.orbifold import (
     ObjectKind,
     PieceKind,
     RealizationContext,
+    corner_vec,
     curve,
     endpoint_linking,
     intersection_number,
@@ -22,6 +24,7 @@ from fareyflats.orbifold import (
     tightness_check,
     torus_arc,
     wave,
+    _ccw_order,
 )
 from fareyflats.slopes import Slope, apply_unimodular, det, slopes_up_to
 
@@ -50,6 +53,15 @@ class TestDescriptors:
     def test_torus_seam_is_arc(self):
         arc = torus_arc(Slope(1, 2))
         assert arc.endpoints == ("m", "m")
+
+    def test_corner_vec_rejects_unknown_label(self):
+        assert corner_vec("10") == (1, 0)
+        with pytest.raises(ValueError, match="unknown corner label"):
+            corner_vec("22")
+
+    def test_wave_rejects_a_non_seam(self):
+        with pytest.raises(ValueError, match="waves double a seam"):
+            wave(curve(S, Slope(0, 1)), over="00")
 
     def test_wave_descriptor(self):
         s = seam(S, Slope(0, 1))
@@ -311,6 +323,10 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             RealizationContext([curve(T, Slope(0, 1)), curve(S, Slope(0, 1))])
 
+    def test_rejects_an_empty_configuration(self):
+        with pytest.raises(ValueError, match="empty configuration"):
+            RealizationContext([])
+
     def test_torus_context_counts_every_pair_as_alone(self):
         objs = [
             curve(T, Slope(1, 2)),
@@ -360,6 +376,72 @@ class TestEndpointLinking:
     def test_rejects_non_arcs(self):
         with pytest.raises(ValueError):
             endpoint_linking(curve(T, Slope(0, 1)), torus_arc(Slope(1, 0)))
+
+
+def _direction(v):
+    g = math.gcd(*v)
+    return (v[0] // g, v[1] // g)
+
+
+@st.composite
+def ccw_cases(draw):
+    """A base ray and 1-8 rays in pairwise distinct directions, none along
+    the base, sometimes with the ray opposite the base among them."""
+    bound = draw(st.sampled_from((3, 10**9)))
+    coord = st.integers(-bound, bound)
+    vec = st.tuples(coord, coord).filter(lambda v: v != (0, 0))
+    base = draw(vec)
+    rays = draw(
+        st.lists(
+            vec.filter(lambda v: _direction(v) != _direction(base)),
+            min_size=1,
+            max_size=8,
+            unique_by=_direction,
+        )
+    )
+    opposite = (-base[0], -base[1])
+    if draw(st.booleans()) and _direction(opposite) not in map(_direction, rays):
+        k = draw(st.integers(1, 3))
+        rays.insert(draw(st.integers(0, len(rays))), (k * opposite[0], k * opposite[1]))
+    return base, rays
+
+
+def _reference_ccw(base, rays):
+    """The order by pairwise exact tests: u comes before v when u is in an
+    earlier half-turn from base (the opposite ray ends the first), or in the
+    same one with v counterclockwise of u."""
+
+    def cross(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    def half(v):
+        c = cross(base, v)
+        return 0 if c > 0 or (c == 0 and base[0] * v[0] + base[1] * v[1] < 0) else 1
+
+    def before(u, v):
+        return half(u) < half(v) or (half(u) == half(v) and cross(u, v) > 0)
+
+    ranks = [sum(before(v, u) for v in rays) for u in rays]
+    assert sorted(ranks) == list(range(len(rays)))
+    return sorted(range(len(rays)), key=ranks.__getitem__)
+
+
+class TestCcwOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(ccw_cases())
+    def test_matches_pairwise_reference(self, case):
+        base, rays = case
+        assert _ccw_order(base, rays) == _reference_ccw(base, rays)
+
+    def test_rejects_a_ray_along_the_base(self):
+        with pytest.raises(AssertionError, match="coincides with the reference"):
+            _ccw_order((2, 3), [(0, 1), (4, 6)])
+
+    def test_rejects_two_rays_in_one_direction(self):
+        with pytest.raises(AssertionError, match="share a direction"):
+            _ccw_order((1, 0), [(1, 2), (0, 1), (3, 6)])
+        with pytest.raises(AssertionError, match="share a direction"):
+            _ccw_order((1, 0), [(-1, 0), (-5, 0)])
 
 
 class TestSerialization:
