@@ -7,7 +7,8 @@ traces: either the vertex contains the piece's own curve, or some of its
 curves cross the piece in arcs.  This truncated view is exactly what the
 coordinate projection consumes, so shadows model vertices as per-piece
 trace data, moves as annotated exchanges, and the audits check distance
-bounds between projected endpoint sets.
+bounds between projected endpoint sets, one set per piece: the sum
+metric splits by piece, so each piece's best pair is found on its own.
 
 Each check runs where its object is built: a Crossing checks that its
 trace's distinct components are pairwise disjoint, a VertexShadow that
@@ -25,7 +26,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
 from .flats import Coordinate, SurfaceDesc, max_handles, product_distance
 from .orbifold import (
@@ -196,36 +197,35 @@ def shadow_in_pq(system: HandleSystem, slopes) -> VertexShadow:
     )
 
 
-def project_shadow(v: VertexShadow) -> frozenset[tuple[Coordinate, ...]]:
-    """All coordinate tuples reachable by projecting one trace per piece.
-
-    InGraph pieces contribute their slope, crossed pieces the projection
-    of each trace component, and empty traces the free marker None.  The
-    set is never empty, and all its tuples have one entry per piece.
-    """
-    per_piece: list[frozenset[Coordinate]] = []
-    for entry in v.data:
-        if isinstance(entry, InGraph):
-            per_piece.append(frozenset((entry.slope,)))
-        elif entry.trace:
-            per_piece.append(frozenset(o.slope for o in entry.trace))
-        else:
-            per_piece.append(frozenset((None,)))
-    return frozenset(iproduct(*per_piece))
+def project_shadow(v: VertexShadow) -> tuple[frozenset[Coordinate], ...]:
+    """One set of coordinates per piece, never empty: an InGraph piece's
+    slope, the projection of each component of a crossed piece's trace,
+    or the free marker None for an empty trace."""
+    return tuple(
+        frozenset((entry.slope,))
+        if isinstance(entry, InGraph)
+        else frozenset(o.slope for o in entry.trace) or frozenset((None,))
+        for entry in v.data
+    )
 
 
-def _min_distance(a: frozenset, b: frozenset) -> int:
-    """Best product distance between a tuple of a and a tuple of b."""
-    return min(product_distance(s, t) for s in a for t in b)
+def _min_distance(a: tuple, b: tuple) -> int:
+    """Best product distance between projections, one set per piece: the
+    sum metric splits by piece, so each piece's best pair is summed.
+    Projections of different ranks raise ValueError."""
+    return sum(
+        min(product_distance((s,), (t,)) for s in x for t in y)
+        for x, y in zip(a, b, strict=True)
+    )
 
 
 def orthogonality_check(v0: VertexShadow, v1: VertexShadow) -> bool:
     """Does the neighbor outside P_Q project exactly onto the member?
 
     v0 must be declared in P_Q, v1 must not be; the check passes when
-    project_shadow(v1) is a singleton matching v0's tuple (free markers
-    match anything, encoding the convention that untouched pieces keep
-    their curve).
+    project_shadow(v1), one set per piece, is a singleton in every piece
+    matching v0's (free markers match anything, encoding the convention
+    that untouched pieces keep their curve).
     """
     if not v0.in_pq:
         raise ValueError("v0 must lie in P_Q")
@@ -235,7 +235,7 @@ def orthogonality_check(v0: VertexShadow, v1: VertexShadow) -> bool:
         raise ValueError("shadows live over different handle systems")
     projected = project_shadow(v1)
     return (
-        len(projected) == 1
+        all(len(p) == 1 for p in projected)
         and _min_distance(projected, project_shadow(v0)) == 0
     )
 
@@ -409,9 +409,9 @@ def detect_special_couples(
 def audit_projection_bound(path: PathShadow) -> dict:
     """Best product distance between the endpoint projections, vs length.
 
-    Minimizes over all choices in the two projection sets, the reading
-    under which the distance bound "there exist projections within r" is
-    checked.  Instance evidence only.
+    Minimizes over all choices in the two projections, piece by piece, the
+    reading under which the distance bound "there exist projections within
+    r" is checked.  Instance evidence only.
     """
     best = _min_distance(
         project_shadow(path.vertices[0]), project_shadow(path.vertices[-1])

@@ -181,6 +181,13 @@ class TestLaws:
         assert inum(seam(S, a, pair0), curve(S, a)) == 0
         assert inum(curve(T, a), torus_arc(a)) == 0
 
+    def test_objects_on_different_pieces_refused(self):
+        a = Slope(0, 1)
+        with pytest.raises(ValueError, match="different pieces"):
+            inum(curve(T, a), curve(S, a))
+        with pytest.raises(ValueError, match="different pieces"):
+            inum(seam(S, a), torus_arc(a))
+
 
 @pytest.fixture(scope="module")
 def mixed_objects():

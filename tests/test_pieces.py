@@ -71,6 +71,10 @@ class TestIdentityReport:
             assert projection_identity_report(s, curve(T, b))["holds"]
             assert projection_identity_report(s, torus_arc(b))["holds"]
 
+    def test_rejects_a_non_seam(self):
+        with pytest.raises(ValueError, match="about seams"):
+            projection_identity_report(curve(S, Slope(0, 1)), seam(S, Slope(1, 0)))
+
     def test_rejects_wave_argument(self):
         with pytest.raises(ValueError):
             projection_identity_report(
@@ -85,6 +89,11 @@ class TestSpecialCouples:
         assert not is_special_couple(s01, curve(S, Slope(1, 2)))
         assert not is_special_couple(s01, curve(S, Slope(0, 1)))
         assert not is_special_couple(curve(S, Slope(2, 1)), s01)
+
+    def test_torus_seam_is_never_special(self):
+        arc = torus_arc(Slope(0, 1))
+        assert intersection_number(arc, curve(T, Slope(2, 1))) == 2
+        assert not is_special_couple(arc, curve(T, Slope(2, 1)))
 
     def test_couples_have_even_determinant(self):
         for a, b in itertools.combinations(slopes_up_to(5), 2):

@@ -1,9 +1,13 @@
+import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fareyflats import shadows
-from fareyflats.flats import SurfaceDesc, product_distance
+from fareyflats import cli, shadows
+from fareyflats.flats import SurfaceDesc, max_handles, product_distance
 from fareyflats.orbifold import (
     ObjectKind,
     PieceKind,
@@ -20,6 +24,7 @@ from fareyflats.shadows import (
     MoveKind,
     PathShadow,
     VertexShadow,
+    _min_distance,
     audit_projection_bound,
     detect_special_couples,
     orthogonality_check,
@@ -29,7 +34,7 @@ from fareyflats.shadows import (
     random_path_shadow,
     shadow_in_pq,
 )
-from fareyflats.slopes import Slope
+from fareyflats.slopes import Slope, slopes_up_to
 
 T = PieceKind.ONE_HOLED_TORUS
 S = PieceKind.FOUR_HOLED_SPHERE
@@ -67,7 +72,7 @@ class TestVertexShadow:
     def test_member_shadow(self):
         v = shadow_in_pq(two_sphere_system(), (sl("0/1"), sl("1/0")))
         assert v.in_pq
-        assert project_shadow(v) == {(sl("0/1"), sl("1/0"))}
+        assert project_shadow(v) == (frozenset({sl("0/1")}), frozenset({sl("1/0")}))
 
     def test_member_flag_requires_all_in_graph(self):
         with pytest.raises(ValueError):
@@ -113,7 +118,7 @@ class TestVertexShadow:
             (Crossing((s, s)), InGraph(sl("0/1"))),
             in_pq=False,
         )
-        assert len(project_shadow(v)) == 1
+        assert project_shadow(v) == (frozenset({sl("0/1")}), frozenset({sl("0/1")}))
 
     def test_arity_checked(self):
         with pytest.raises(ValueError):
@@ -129,7 +134,7 @@ class TestProjectShadow:
             (Crossing(()), InGraph(sl("3/1"))),
             in_pq=False,
         )
-        assert project_shadow(v) == {(None, sl("3/1"))}
+        assert project_shadow(v) == (frozenset({None}), frozenset({sl("3/1")}))
 
     def test_two_arc_trace_with_distinct_projections(self):
         a = seam(S, sl("0/1"), ("00", "10"))
@@ -140,10 +145,10 @@ class TestProjectShadow:
             (Crossing((a, b)), InGraph(sl("0/1"))),
             in_pq=False,
         )
-        ps = project_shadow(v)
-        assert len(ps) == 2
-        first = {t[0] for t in ps}
-        assert first == {sl("0/1"), sl("1/0")}
+        assert project_shadow(v) == (
+            frozenset({sl("0/1"), sl("1/0")}),
+            frozenset({sl("0/1")}),
+        )
 
 
 class TestOrthogonality:
@@ -473,6 +478,99 @@ class TestAudit:
         assert not report["pass"]
 
 
+def brute_min_distance(a, b):
+    """The best product distance over every pair of whole points, each
+    point one coordinate per piece."""
+    return min(
+        product_distance(s, t)
+        for s in itertools.product(*a)
+        for t in itertools.product(*b)
+    )
+
+
+PIECE_SETS = st.frozensets(
+    st.sampled_from([None, *slopes_up_to(3)]), min_size=1, max_size=3
+)
+
+
+class TestMinDistance:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.tuples(*[st.tuples(PIECE_SETS, PIECE_SETS)] * n)
+    ))
+    def test_matches_the_product_on_any_piece_sets(self, pieces):
+        a, b = tuple(x for x, _ in pieces), tuple(y for _, y in pieces)
+        assert _min_distance(a, b) == brute_min_distance(a, b)
+
+    def test_matches_the_product_on_generated_paths(self):
+        # the generators' piece sets are singletons; the property above
+        # covers several coordinates and free markers in one piece
+        rng = random.Random(26)
+        systems = (
+            two_sphere_system(),
+            mixed_system(),
+            HandleSystem(SurfaceDesc(0, 8), (S, S, S)),
+        )
+        pairs = 0
+        for k in range(90):
+            path = random_path_shadow(systems[k % 3], rng, length=1 + k % 8)
+            projected = [project_shadow(v) for v in path.vertices]
+            for a, b in itertools.combinations_with_replacement(projected, 2):
+                assert _min_distance(a, b) == brute_min_distance(a, b)
+                pairs += 1
+        assert pairs > 1000
+
+    def test_different_ranks_raise(self):
+        two = project_shadow(shadow_in_pq(two_sphere_system(), (sl("0/1"),) * 2))
+        three = project_shadow(shadow_in_pq(mixed_system(), (sl("0/1"),) * 3))
+        with pytest.raises(ValueError):
+            _min_distance(two, three)
+        with pytest.raises(ValueError):
+            _min_distance(three, two)
+
+
+def many_sphere_fixture(tmp_path, boundary):
+    """A one-vertex path over every sphere piece of SurfaceDesc(0, boundary);
+    each piece's trace is two disjoint seams of slopes 1/0 and -1/1."""
+    surface = SurfaceDesc(0, boundary)
+    n = max_handles(surface)
+    trace = Crossing(
+        (seam(S, sl("1/0"), ("00", "01")), seam(S, sl("-1/1"), ("00", "11")))
+    )
+    v = VertexShadow(HandleSystem(surface, (S,) * n), (trace,) * n, in_pq=False)
+    path = tmp_path / f"spheres{n}.json"
+    path.write_text(json.dumps(PathShadow((v,), ()).to_json_dict()))
+    return n, str(path)
+
+
+class TestManyPieces:
+    """An audit costs a few distances per piece, not a product over them."""
+
+    def test_ten_pieces_audit_with_four_distances_each(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        n, fixture = many_sphere_fixture(tmp_path, 22)
+        assert n == 10
+        calls = []
+
+        def counting(u, v):
+            calls.append((u, v))
+            return product_distance(u, v)
+
+        monkeypatch.setattr(shadows, "product_distance", counting)
+        code = cli.main(["scenario", "audit", fixture, "--no-timestamp"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["best"] == 0 and report["r"] == 0
+        assert len(calls) <= 4 * n
+
+    def test_forty_pieces_audit(self, capsys, tmp_path):
+        n, fixture = many_sphere_fixture(tmp_path, 82)
+        assert n == 40
+        assert cli.main(["scenario", "audit", fixture, "--no-timestamp"]) == 0
+        assert json.loads(capsys.readouterr().out)["best"] == 0
+
+
 class TestGapScenario:
     def test_report_values(self):
         _, report = projection_gap_scenario()
@@ -482,8 +580,6 @@ class TestGapScenario:
 
     def test_gap_is_stable_under_completion_choices(self):
         # the free far coordinate never shrinks the distance below 2
-        from fareyflats.slopes import slopes_up_to
-
         base = (sl("0/1"), sl("0/1"))
         for c in slopes_up_to(8):
             assert product_distance(base, (sl("2/1"), c)) >= 2
