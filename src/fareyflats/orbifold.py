@@ -31,21 +31,24 @@ object's line families, keeps the hits that lie on its lifts, and
 locates each hit on the other's fundamental segment exactly.  It reads
 both objects from their frames: a context builds each object's frame
 once, on first use, and keeps it as long as the context lives (no frame
-outlives its context).  The x side of a frame is the object's plane
-segments with both signs on the pillowcase; the y side is its slope's
-integer frame (below), its offsets and its line families.
-``RealizationContext.count(i, j)`` is the one counting entry: it counts
-these events for two objects of a context on the torus cover and halves
-on the pillowcase (with an evenness check).  ``intersection_number``
-counts a pair through it, and the drivers count every pair of a fixture
-or of a sweep's piece on one context; the ribbon walk builds its
-crossing graph from the events and checks their number against it.  A literal counter is
-kept as the independent oracle (``literal_intersection_number``,
-``tightness_check``): for each pair of segments it walks the integer
-columns of their Minkowski difference, where every lattice translate
-that meets is found by two floor divisions, so it costs the columns plus
-the crossings, in the same integer units and with no slope frame.  No
-determinant formula is assumed anywhere in this module.
+outlives its context).  The x side of a frame is the object's
+fundamental segment; the y side is its slope's integer frame (below),
+its offsets and its line families, with both signs on the pillowcase.
+``RealizationContext.count(i, j)`` is the one counting entry: one
+object's fundamental segment maps one-to-one onto it and the other's
+preimage is closed under the deck maps, so each crossing is one event,
+on either piece.  ``intersection_number`` counts a pair through it, and
+the drivers count every pair of a fixture or of a sweep's piece on one
+context; the ribbon walk builds its crossing graph from the events and
+checks their number against it.  A literal counter is kept as the
+independent oracle (``literal_intersection_number``,
+``tightness_check``): it counts on the torus cover, with both signs of
+each segment on the pillowcase, and halves.  For each pair of segments
+it walks the integer columns of their Minkowski difference, where every
+lattice translate that meets is found by two floor divisions, so it
+costs the columns plus the crossings, in the same integer units and with
+no slope frame.  No determinant formula is assumed anywhere in this
+module.
 """
 
 from __future__ import annotations
@@ -346,9 +349,10 @@ class RealizationContext:
 
     Each object has a frame of two sides, each built once, on first use,
     and kept as long as the context: x_side(i) when the object is the one
-    whose segments cross, y_side(i) when it is the one crossed.  count,
-    the ribbon walk and the literal counter all read them, so a context
-    computes no object's frame twice however many pairs it counts.
+    whose fundamental segment crosses, y_side(i) when it is the one whose
+    whole preimage is crossed.  count, the ribbon walk and the literal
+    counter all read them, so a context computes no object's frame twice
+    however many pairs it counts.
 
     A closed curve's fundamental segment runs over one period [a, b) from
     its anchor a, half open, so each point of the curve is on it once; an
@@ -414,9 +418,8 @@ class RealizationContext:
         return (bx + gap * q, by + gap * p), (bx + (L - gap) * q, by + (L - gap) * p)
 
     def x_side(self, index: int) -> tuple:
-        """The object's plane segments sign*(a, b) with the cone points at
-        their ends, (a, b, ends) per sign of the piece: +1 on the torus and
-        +-1 on the pillowcase, the first being the fundamental segment."""
+        """The object's fundamental segment with the cone points at its
+        ends, as the 1-tuple ((a, b, ends),)."""
         side = self._xs[index]
         if side is None:
             obj = self.objects[index]
@@ -425,11 +428,7 @@ class RealizationContext:
             else:
                 x0 = y0 = 0
             a, b = self._fund(index, x0, y0)
-            ends = _fund_ends(obj)
-            side = ((a, b, ends),)
-            if not self.torus:
-                side += (((-a[0], -a[1]), (-b[0], -b[1]), ends),)
-            self._xs[index] = side
+            side = self._xs[index] = ((a, b, cone_ends(obj) or (None, None)),)
         return side
 
     def y_side(self, index: int) -> tuple:
@@ -460,34 +459,27 @@ class RealizationContext:
                     (c_a, ((1, 0),), span >= L),
                     (-c_a, ((-1, 0),), span >= L),
                 )
-            labels = obj.endpoints if obj.kind is ObjectKind.SEAM else ()
+            labels = cone_ends(obj)
             side = self._ys[index] = (p, q, x0, y0, e_a, span, families, labels)
         return side
 
     def count(self, i: int, j: int) -> int:
         """Geometric crossing number of objects i and j (0 when i == j).
 
-        The crossing events of one object's torus-cover segments with the
-        other's preimage are counted; a wave takes the segment side against
-        a curve or seam, whose line families are then counted without
-        visiting their hits.  A curve on the segment side covers its period
-        half open, so a crossing at its anchor counts once.  On the
-        pillowcase the cover count is halved after an evenness check.
+        The crossing events of one object's fundamental segment with the
+        other's whole preimage are counted: each crossing once, on either
+        piece.  A wave takes the segment side against a curve or seam,
+        whose line families are then counted without visiting their hits.
+        A curve on the segment side covers its period half open, so a
+        crossing at its anchor counts once.
         """
         x, y = self.objects[i], self.objects[j]
         if y.kind is ObjectKind.WAVE and x.kind is not ObjectKind.WAVE:
             i, j, x, y = j, i, y, x
-        raw = _crossing_events(
+        return _crossing_events(
             x, self._xs[i] or self.x_side(i), y, self._ys[j] or self.y_side(j),
             self.scale, True,
         )
-        if self.torus:
-            return raw
-        if raw % 2:
-            raise AssertionError(
-                f"odd cover count {raw} for {x} vs {y}; realization bug"
-            )
-        return raw // 2
 
 
 def _corner_units(label: str, scale: int) -> IntPoint:
@@ -496,9 +488,10 @@ def _corner_units(label: str, scale: int) -> IntPoint:
     return (a * scale // 2, b * scale // 2)
 
 
-def _fund_ends(obj: PieceObject) -> tuple[str | None, ...]:
-    """Cone-point labels at the two ends of obj's fundamental segment."""
-    return obj.endpoints if obj.kind is ObjectKind.SEAM else (None, None)
+def cone_ends(obj: PieceObject) -> tuple[str, ...]:
+    """The cone points (on the torus, the marked point) obj ends at: a
+    seam's two ends; curves and waves end at none."""
+    return obj.endpoints if obj.kind is ObjectKind.SEAM else ()
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +509,7 @@ def _crossing_events(
     """Crossings of plane segments of x with the whole plane preimage of y.
 
     x_segments are (a, b, ends) in units of 1/L, ends naming the cone point
-    at each end or None: x's RealizationContext.x_side, or part of it.
+    at each end or None: x's RealizationContext.x_side.
     y_side is y's RealizationContext.y_side in the same context, whose
     scale is L.
 
@@ -653,9 +646,7 @@ def _literal_count(
     the start of the next period and is not counted.
     """
     x_closed, y_closed = closed
-    # the cone points both realizations end at (None, for no cone point,
-    # is never a hit's label)
-    shared = set(_fund_ends(x_obj)) & set(_fund_ends(y_obj))
+    shared = set(cone_ends(x_obj)) & set(cone_ends(y_obj))
     torus = x_obj.piece is PieceKind.ONE_HOLED_TORUS
     cone = unit if torus else unit // 2
     total = 0
@@ -738,7 +729,9 @@ def literal_intersection_number(
     A custom realization is the object's whole torus-cover preimage, given
     as segments (a, b) between rational points in lattice units (the deck
     lattice is Z^2).  The counter's unit is then the lcm of ctx.scale and
-    their denominators.  A canonical curve's periods are read half open,
+    their denominators.  A canonical realization is the object's x_side
+    segments with each sign of the piece, +1 on the torus and +-1 on the
+    pillowcase.  A canonical curve's periods are read half open,
     as by the kernel; custom segments raise DegenerateRealization when hit
     at an end.  On the pillowcase the preimage is invariant under x -> -x,
     so a custom realization giving an odd cover count raises ValueError.
@@ -754,6 +747,7 @@ def literal_intersection_number(
         for c in (*seg[0], *seg[1]):
             unit *= (unit * c).denominator  # now a multiple of c's denominator
     k = unit // ctx.scale
+    signs = (1,) if x.piece is PieceKind.ONE_HOLED_TORUS else (1, -1)
 
     def segments(obj, custom):
         if custom is not None:
@@ -762,8 +756,9 @@ def literal_intersection_number(
                 for seg in custom
             ]
         return [
-            ((k * a[0], k * a[1]), (k * b[0], k * b[1]))
+            ((sign * k * a[0], sign * k * a[1]), (sign * k * b[0], sign * k * b[1]))
             for a, b, _ in ctx.x_side(ctx.objects.index(obj))
+            for sign in signs
         ]
 
     closed = (

@@ -16,6 +16,7 @@ from .orbifold import (
     ObjectKind,
     PieceKind,
     PieceObject,
+    cone_ends,
     curve,
     intersection_number,
     seam,
@@ -26,9 +27,7 @@ from .slopes import Slope
 
 def common_boundaries(a: PieceObject, b: PieceObject) -> int:
     """How many cone points / marked points the two objects' ends share."""
-    ea = set(a.endpoints if a.kind is ObjectKind.SEAM else ())
-    eb = set(b.endpoints if b.kind is ObjectKind.SEAM else ())
-    return len(ea & eb)
+    return len(set(cone_ends(a)) & set(cone_ends(b)))
 
 
 def associated_seam(

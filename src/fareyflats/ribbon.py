@@ -204,10 +204,10 @@ class _Walk:
         """
         n, ctx = len(self.objects), self.ctx
         for i in range(n):
-            strand = ctx.x_side(i)[:1]  # the fundamental segment
             for j in range(i + 1, n):
                 events = _crossing_events(
-                    self.objects[i], strand, self.objects[j], ctx.y_side(j), ctx.scale
+                    self.objects[i], ctx.x_side(i), self.objects[j], ctx.y_side(j),
+                    ctx.scale,
                 )
                 expected = ctx.count(i, j)
                 if len(events) != expected:

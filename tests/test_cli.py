@@ -598,6 +598,33 @@ class TestScenarioCommands:
         assert code == 1 and out == ""
         assert "bad path-shadow fixture" in err
 
+    @pytest.mark.parametrize(
+        "piece, kind, endpoints, over, message",
+        [
+            ("four_holed_sphere", "seam", ["00", "10"], "00", "only waves carry"),
+            ("one_holed_torus", "seam", ["00", "10"], None, "marked point twice"),
+            ("four_holed_sphere", "seam", ["00"], None, "joins two corners"),
+            ("four_holed_sphere", "seam", ["10", "00"], None, "must be sorted"),
+            ("one_holed_torus", "wave", ["00"], "10", "four-holed sphere"),
+            ("four_holed_sphere", "wave", ["00", "10"], "10", "one end corner"),
+            ("four_holed_sphere", "wave", ["00"], "01", "must be partners"),
+        ],
+    )
+    def test_audit_rejects_a_bad_object_descriptor(
+        self, capsys, tmp_path, piece, kind, endpoints, over, message
+    ):
+        data = gap_fixture_data()
+        obj = {"piece": piece, "kind": kind, "slope": "0/1", "endpoints": endpoints}
+        if over is not None:
+            obj["over"] = over
+        data["vertices"][0]["data"][0]["trace"] = [obj]
+        path = tmp_path / "descriptor.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["scenario", "audit", str(path)])
+        assert code == 1 and out == ""
+        assert "bad path-shadow fixture" in err and message in err
+        assert "Traceback" not in err
+
 
 class TestFlatsCommands:
     def test_certify_line(self, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fareyflats import orbifold
 from fareyflats.orbifold import (
     DegenerateRealization,
     ObjectKind,
@@ -25,6 +26,7 @@ from fareyflats.orbifold import (
     torus_arc,
     wave,
     _ccw_order,
+    _crossing_events,
 )
 from fareyflats.slopes import Slope, apply_unimodular, det, slopes_up_to
 
@@ -187,6 +189,8 @@ class TestLaws:
             inum(curve(T, a), curve(S, a))
         with pytest.raises(ValueError, match="different pieces"):
             inum(seam(S, a), torus_arc(a))
+        with pytest.raises(ValueError, match="different pieces"):
+            literal_intersection_number(curve(T, a), curve(S, a))
 
 
 @pytest.fixture(scope="module")
@@ -480,6 +484,8 @@ KIND_PAIR_IDS = [f"{piece.value}-{a}-{b}" for piece, a, b in KIND_PAIRS]
 # scaled(k) moves only waves, and waves live on the sphere
 WAVE_PAIRS = [pair for pair in KIND_PAIRS if "wave" in pair]
 WAVE_PAIR_IDS = [f"{piece.value}-{a}-{b}" for piece, a, b in WAVE_PAIRS]
+SPHERE_PAIRS = [pair for pair in KIND_PAIRS if pair[0] is S]
+SPHERE_PAIR_IDS = [f"{piece.value}-{a}-{b}" for piece, a, b in SPHERE_PAIRS]
 
 
 class TestKernelProperties:
@@ -505,6 +511,41 @@ class TestKernelProperties:
         ctx = RealizationContext((x, y)).scaled(shrink)
         assert ctx.count(0, 1) == literal_intersection_number(x, y, ctx)
         assert ctx.count(0, 1) == inum(x, y)
+
+    @pytest.mark.parametrize("piece, kx, ky", SPHERE_PAIRS, ids=SPHERE_PAIR_IDS)
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data(), shrink=st.integers(1, 9), extra=st.integers(0, 2))
+    def test_negated_segment_counts_the_same(self, piece, kx, ky, data, shrink, extra):
+        # y's preimage is closed under z -> -z, so the mirror image of x's
+        # fundamental segment meets it as often as the segment itself
+        x = data.draw(piece_objects(piece, kx))
+        y = data.draw(piece_objects(piece, ky))
+        assume(x != y)
+        others = [data.draw(piece_objects(piece, "curve")) for _ in range(extra)]
+        ctx = RealizationContext((*others, x, y)).scaled(shrink)
+        i, j = extra, extra + 1
+        if ky == "wave" and kx != "wave":  # count puts the wave on the x side
+            i, j = j, i
+        ((a, b, ends),) = ctx.x_side(i)
+        mirrored = (((-a[0], -a[1]), (-b[0], -b[1]), ends),)
+        raw = _crossing_events(
+            ctx.objects[i], mirrored, ctx.objects[j], ctx.y_side(j), ctx.scale, True
+        )
+        assert raw == ctx.count(i, j) == ctx.count(j, i)
+        assert ctx.count(i, j) == literal_intersection_number(x, y, ctx)
+
+    def test_count_makes_one_kernel_pass_per_pair(self, monkeypatch):
+        passes = []
+
+        def kernel(x_obj, x_segments, *args):
+            passes.append(len(x_segments))
+            return _crossing_events(x_obj, x_segments, *args)
+
+        monkeypatch.setattr(orbifold, "_crossing_events", kernel)
+        a, b = Slope(1, 2), Slope(3, 1)
+        ctx = RealizationContext((curve(S, a), curve(S, b)))
+        assert ctx.count(0, 1) == 2 * abs(det(a, b))
+        assert passes == [1]
 
 
 def sphere_waves(height):

@@ -129,7 +129,7 @@ class TestCrossingWalks:
         objs = [curve(T, Slope(0, 1)), torus_arc(Slope(1, 0))]
         ctx = RealizationContext(objs)
         events = _crossing_events(
-            objs[0], ctx.x_side(0)[:1], objs[1], ctx.y_side(1), ctx.scale
+            objs[0], ctx.x_side(0), objs[1], ctx.y_side(1), ctx.scale
         )
         assert [t_x for t_x, _, _ in events] == [(0, ctx.scale)]
         comps = neighborhood_boundary(objs, ctx=ctx)
