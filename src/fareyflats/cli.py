@@ -88,14 +88,15 @@ SWEEPS = {
     "prs": ("disjoint_projection_sweep", lambda n: 14 * n * n, 8),
 }
 # command -> (driver in sweeps, default --height, us a sample over the N =
-# 1 + H(2H + 1) slopes up to H, or None).  An ml sample took 0.5-1.4, 3.1-3.5
-# and 18-25 ms at heights 5, 20 and 80.  The other suites and ``scenario
-# orthogonality`` have no model: under 0.4 ms a sample up to height 315 (sc,
-# which solves for its mates, 0.08-0.10 ms), 20 s at SAMPLE_BUDGET.
+# 1 + H(2H + 1) slopes up to H, or None).  An ml sample took 0.4-0.6,
+# 0.4-0.7, 1.3-2.5 and 15-27 ms at heights 5, 20, 80 and 315 (100 samples a
+# run, 4 to 8 runs).  The other suites and ``scenario orthogonality`` have no
+# model: under 0.4 ms a sample up to height 315 (sc, which solves for its
+# mates, 0.08-0.10 ms), 20 s at SAMPLE_BUDGET.
 SUITES = {
     "prs": ("disjoint_projection_suite", 8, None),
     "prt": ("torus_move_suite", 5, None),
-    "ml": ("sphere_move_suite", 5, lambda n: 1_100 + 5 * n),
+    "ml": ("sphere_move_suite", 5, lambda n: 1_000 + n // 7),
     "sc": ("couple_trace_suite", 8, None),
 }
 

@@ -318,12 +318,12 @@ def certify_flat(embedding: LatticeEmbedding, window: int) -> dict:
     }
 
 
+# subproduct_total_geodesy's factor pool: the slopes of height <= this
+SUBPRODUCT_HEIGHT = 3
+
+
 def subproduct_total_geodesy(
-    n: int,
-    k: int,
-    radius: int,
-    height: int = 3,
-    subgraph: str = "factor",
+    n: int, k: int, radius: int, subgraph: str = "factor"
 ) -> dict:
     """Check that a subset of a truncated product ball is totally geodesic.
 
@@ -333,15 +333,15 @@ def subproduct_total_geodesy(
     geodesic between u and v exactly when the distances add up; total
     geodesy means no such w escapes the subset.
 
-    Points are index tuples into slopes_up_to(height), the ball runs in
-    itertools.product order, and every product distance is a sum of
-    entries of one factor distance table over that pool.
+    Points are index tuples into slopes_up_to(SUBPRODUCT_HEIGHT), the ball
+    runs in itertools.product order, and every product distance is a sum
+    of entries of one factor distance table over that pool.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if subgraph not in ("factor", "diagonal"):
         raise ValueError(f"unknown subgraph {subgraph!r}")
-    pool = slopes_up_to(height)
+    pool = slopes_up_to(SUBPRODUCT_HEIGHT)
     table = [[distance(a, b) for b in pool] for a in pool]
     base = pool.index(Slope(0, 1))
 
@@ -384,7 +384,7 @@ def subproduct_total_geodesy(
         "n": n,
         "k": k,
         "radius": radius,
-        "height": height,
+        "height": SUBPRODUCT_HEIGHT,
         "member_count": len(members),
         "triples_checked": checked,
         "totally_geodesic": witness is None,

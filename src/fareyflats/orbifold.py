@@ -41,9 +41,9 @@ on either piece.  ``intersection_number`` counts a pair through it, and
 the drivers count every pair of a fixture or of a sweep's piece on one
 context; the ribbon walk builds its crossing graph from the events and
 checks their number against it.  A literal counter is kept as the
-independent oracle (``literal_intersection_number``,
-``tightness_check``): it counts on the torus cover, with both signs of
-each segment on the pillowcase, and halves.  For each pair of segments
+independent oracle (``literal_intersection_number``): it counts the
+canonical realizations on the torus cover, with both signs of each
+segment on the pillowcase, and halves.  For each pair of segments
 it walks the integer columns of their Minkowski difference, where every
 lattice translate that meets is found by two floor divisions, so it
 costs the columns plus the crossings, in the same integer units and with
@@ -340,7 +340,7 @@ class RealizationContext:
 
     Offsets are graded so that all degeneracies (crossings at seam or wave
     ends, cone-point hits away from shared endpoints) are impossible.  Only
-    wave offsets depend on shrink, so scaled(k) moves the waves alone.
+    wave offsets depend on shrink.
 
     count(i, j) is the one entry to the crossing kernel: objects are
     named by their index here, and a crossing number, an invariant of the
@@ -383,11 +383,6 @@ class RealizationContext:
         self._curve_unit = 64 * n1 * self.norm**3 * shrink
         self._xs: list = [None] * len(self.objects)
         self._ys: list = [None] * len(self.objects)
-
-    def scaled(self, factor: int) -> "RealizationContext":
-        """A context with the wave offsets divided by factor (stability);
-        curve and seam positions do not depend on shrink."""
-        return RealizationContext(self.objects, self.shrink * factor)
 
     def _fund(self, index: int, x0: int, y0: int) -> tuple[IntPoint, IntPoint]:
         """The plane segment (a, b) projecting one-to-one onto object index,
@@ -624,7 +619,6 @@ def _literal_count(
     y_obj: PieceObject,
     y_segments: Sequence[tuple[IntPoint, IntPoint]],
     unit: int,
-    closed: tuple[bool, bool],
 ) -> int:
     """Crossings of x's segments with every lattice translate of y's.
 
@@ -641,11 +635,11 @@ def _literal_count(
     At each hit: a cone point (a multiple of unit on the torus, of unit/2
     on the pillowcase) shared by both objects is no crossing, and any
     other raises DegenerateRealization; so does a hit at an end of a
-    segment, unless closed tells (for x and for y) that the segments are
-    closed-curve periods, which are read half open: s = 1 or t = 1 is
-    the start of the next period and is not counted.
+    seam's or a wave's segment.  A curve's segments are read half open:
+    s = 1 or t = 1 is the start of the next segment and is not counted.
     """
-    x_closed, y_closed = closed
+    x_closed = x_obj.kind is ObjectKind.CURVE
+    y_closed = y_obj.kind is ObjectKind.CURVE
     shared = set(cone_ends(x_obj)) & set(cone_ends(y_obj))
     torus = x_obj.piece is PieceKind.ONE_HOLED_TORUS
     cone = unit if torus else unit // 2
@@ -718,85 +712,35 @@ def intersection_number(x: PieceObject, y: PieceObject) -> int:
 
 
 def literal_intersection_number(
-    x: PieceObject,
-    y: PieceObject,
-    ctx: RealizationContext | None = None,
-    custom_x: Sequence[tuple[tuple, tuple]] | None = None,
-    custom_y: Sequence[tuple[tuple, tuple]] | None = None,
+    x: PieceObject, y: PieceObject, ctx: RealizationContext | None = None
 ) -> int:
-    """The literal-counter route, optionally on custom realizations.
+    """The literal translate counter on the canonical realizations of ctx
+    (by default x and y realized on their own).
 
-    A custom realization is the object's whole torus-cover preimage, given
-    as segments (a, b) between rational points in lattice units (the deck
-    lattice is Z^2).  The counter's unit is then the lcm of ctx.scale and
-    their denominators.  A canonical realization is the object's x_side
-    segments with each sign of the piece, +1 on the torus and +-1 on the
-    pillowcase.  A canonical curve's periods are read half open,
-    as by the kernel; custom segments raise DegenerateRealization when hit
-    at an end.  On the pillowcase the preimage is invariant under x -> -x,
-    so a custom realization giving an odd cover count raises ValueError.
+    Each object is its x_side segment with each sign of the piece, +1 on
+    the torus and +-1 on the pillowcase, read half open when a curve, as
+    by the kernel.  On the pillowcase the torus cover holds each crossing
+    once for each sign, so the cover count is halved.
     """
     if x.piece is not y.piece:
         raise ValueError("objects live on different pieces")
+    if x == y:
+        return 0
     if ctx is None:
         ctx = RealizationContext((x, y))
-    if x == y and custom_x is None and custom_y is None:
-        return 0
-    unit = ctx.scale
-    for seg in (*(custom_x or ()), *(custom_y or ())):
-        for c in (*seg[0], *seg[1]):
-            unit *= (unit * c).denominator  # now a multiple of c's denominator
-    k = unit // ctx.scale
-    signs = (1,) if x.piece is PieceKind.ONE_HOLED_TORUS else (1, -1)
+    signs = (1,) if ctx.torus else (1, -1)
 
-    def segments(obj, custom):
-        if custom is not None:
-            return [
-                tuple(((unit * px).numerator, (unit * py).numerator) for px, py in seg)
-                for seg in custom
-            ]
-        return [
-            ((sign * k * a[0], sign * k * a[1]), (sign * k * b[0], sign * k * b[1]))
-            for a, b, _ in ctx.x_side(ctx.objects.index(obj))
-            for sign in signs
-        ]
+    def segments(obj):
+        ((a, b, _),) = ctx.x_side(ctx.objects.index(obj))
+        return [((s * a[0], s * a[1]), (s * b[0], s * b[1])) for s in signs]
 
-    closed = (
-        custom_x is None and x.kind is ObjectKind.CURVE,
-        custom_y is None and y.kind is ObjectKind.CURVE,
-    )
-    raw = _literal_count(
-        x, segments(x, custom_x), y, segments(y, custom_y), unit, closed
-    )
-    if x.piece is PieceKind.FOUR_HOLED_SPHERE:
-        if raw % 2:
-            given = ("custom_x", custom_x), ("custom_y", custom_y)
-            custom = [name for name, c in given if c is not None]
-            if custom:
-                raise ValueError(
-                    f"{' or '.join(custom)} is not a sign-symmetric preimage: "
-                    f"odd cover count {raw} for {x} vs {y}"
-                )
-            raise AssertionError(f"odd cover count {raw} for {x} vs {y}")
-        return raw // 2
-    return raw
-
-
-def tightness_check(
-    x: PieceObject,
-    y: PieceObject,
-    custom_x: Sequence[tuple[tuple, tuple]] | None = None,
-    custom_y: Sequence[tuple[tuple, tuple]] | None = None,
-) -> dict:
-    """Compare a literal count (possibly of custom realizations) with the
-    canonical count; equality certifies the drawn position is tight."""
-    canonical = intersection_number(x, y)
-    literal = literal_intersection_number(x, y, custom_x=custom_x, custom_y=custom_y)
-    return {
-        "canonical": canonical,
-        "literal": literal,
-        "tight": literal == canonical,
-    }
+    raw = _literal_count(x, segments(x), y, segments(y), ctx.scale)
+    if ctx.torus:
+        return raw
+    if raw % 2:
+        # cannot fire: the canonical preimage is closed under z -> -z
+        raise AssertionError(f"odd cover count {raw} for {x} vs {y}")
+    return raw // 2
 
 
 # ---------------------------------------------------------------------------

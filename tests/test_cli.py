@@ -480,7 +480,7 @@ class TestLemmasCommands:
             assert admitted(["scenario", "orthogonality", "--count", str(count)])
 
     def test_suite_work_budget_refuses_hours_and_admits_the_usual_runs(self):
-        # about 0.5 s a sample: 50,000 samples would run about 7 hours
+        # about 27 ms a sample: 50,000 samples would run about 23 minutes
         assert not admitted(["lemmas", "ml", "--samples", "50000", "--height", "315"])
         usual = [
             ["lemmas", command, "--samples", str(samples), *height]
@@ -910,7 +910,7 @@ BUDGET_EDGES = {
         for command in ("prs", "prt", "ml", "sc")
     },
     ("lemmas", "ml", W): (
-        ["--samples", "100", "--height", "315"], ["--samples", "101", "--height", "315"]
+        ["--samples", "3401", "--height", "315"], ["--samples", "3402", "--height", "315"]
     ),
     ("scenario", "orthogonality", S): (["--count", str(S)], ["--count", str(S + 1)]),
     ("scenario", "orthogonality", V): (

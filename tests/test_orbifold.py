@@ -2,7 +2,7 @@ import itertools
 import math
 import pickle
 import time
-from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,11 +22,11 @@ from fareyflats.orbifold import (
     partner_label,
     seam,
     seam_pairs,
-    tightness_check,
     torus_arc,
     wave,
     _ccw_order,
     _crossing_events,
+    _literal_count,
 )
 from fareyflats.slopes import Slope, apply_unimodular, det, slopes_up_to
 
@@ -246,68 +246,51 @@ class TestRoutesAgree:
 
 class TestStability:
     def test_counts_survive_offset_shrinking(self, mixed_objects):
-        # scaled(k) moves only waves, so only pairs holding one are recounted
+        # shrink moves only waves, so only pairs holding one are recounted
         for a, b in itertools.combinations(mixed_objects, 2):
             if ObjectKind.WAVE not in (a.kind, b.kind):
                 continue
-            ctx = RealizationContext((a, b))
-            assert ctx.count(0, 1) == ctx.scaled(2).count(0, 1)
-            assert ctx.count(0, 1) == ctx.scaled(5).count(0, 1)
+            count = RealizationContext((a, b)).count(0, 1)
+            assert count == RealizationContext((a, b), 2).count(0, 1)
+            assert count == RealizationContext((a, b), 5).count(0, 1)
 
 
 class TestTightness:
+    """The literal counter on drawings given as integer segments in units
+    of 1/unit; VERTICAL is the torus curve x = 1/4 in units of 1/UNIT."""
+
+    UNIT = 12
+    VERTICAL = [((3, 0), (3, 12))]
+
     def test_canonical_realizations_are_tight(self):
-        report = tightness_check(curve(T, Slope(0, 1)), curve(T, Slope(1, 0)))
-        assert report["tight"] and report["canonical"] == 1
+        x, y = curve(T, Slope(0, 1)), curve(T, Slope(1, 0))
+        assert literal_intersection_number(x, y) == inum(x, y) == 1
 
     def test_wiggly_realization_detected(self):
         # A period of the horizontal curve drawn with a backtracking zigzag
-        # crosses each vertical line three times instead of once.
-        f = Fraction
-        zig = [
-            ((f(0), f(1, 3)), (f(2, 3), f(2, 5))),
-            ((f(2, 3), f(2, 5)), (f(1, 5), f(1, 2))),
-            ((f(1, 5), f(1, 2)), (f(1), f(1, 3))),
-        ]
-        report = tightness_check(
-            curve(T, Slope(0, 1)), curve(T, Slope(1, 0)), custom_x=zig
-        )
-        assert report["canonical"] == 1
-        assert report["literal"] == 3
-        assert not report["tight"]
+        # crosses the vertical curve three times instead of once.
+        zig = [((0, 4), (8, 5)), ((8, 5), (2, 6)), ((2, 6), (12, 4))]
+        x, y = curve(T, Slope(0, 1)), curve(T, Slope(1, 0))
+        assert inum(x, y) == 1
+        assert _literal_count(x, zig, y, self.VERTICAL, self.UNIT) == 3
 
     def test_degenerate_custom_realization_raises(self):
-        # A custom arc through a corner it does not end at must be refused.
-        f = Fraction
-        diag = [((f(-1, 2), f(-1, 2)), (f(1, 2), f(1, 2)))]
-        with pytest.raises(DegenerateRealization):
-            literal_intersection_number(
-                curve(S, Slope(1, 1)),
-                seam(S, Slope(1, 0)),
-                custom_x=diag,
-            )
+        # A diagonal drawn through a corner it does not end at must be
+        # refused: it meets the vertical seam from 00 there.
+        diag = [((-1, -1), (1, 1))]
+        s = seam(S, Slope(1, 0))
+        halves = [((0, 0), (0, 1)), ((0, 0), (0, -1))]
+        with pytest.raises(DegenerateRealization, match="unshared cone point 00"):
+            _literal_count(curve(S, Slope(1, 1)), diag, s, halves, 2)
 
-    def test_custom_period_ending_on_a_curve_raises(self):
-        # The vertical curve sits on x = 1/4; a custom period of the
-        # horizontal curve from (1/4, 1/3) ends on it at both ends.  Custom
-        # segments are never read half open, so this is refused.
-        f = Fraction
-        period = [((f(1, 4), f(1, 3)), (f(5, 4), f(1, 3)))]
-        with pytest.raises(DegenerateRealization):
-            literal_intersection_number(
-                curve(T, Slope(0, 1)), curve(T, Slope(1, 0)), custom_x=period
-            )
-
-    def test_custom_realization_without_its_mirror_image_is_refused(self):
-        # One horizontal segment on the pillowcase, without its image under
-        # x -> -x, covers the vertical curve an odd number of times.
-        f = Fraction
-        half = [((f(0), f(1, 3)), (f(1, 2), f(1, 3)))]
-        with pytest.raises(ValueError, match="custom_x"):
-            tightness_check(curve(S, Slope(0, 1)), curve(S, Slope(1, 0)), custom_x=half)
-        with pytest.raises(ValueError, match="custom_y"):
-            literal_intersection_number(
-                curve(S, Slope(1, 0)), curve(S, Slope(0, 1)), custom_y=half
+    def test_arc_drawing_ending_on_a_curve_raises(self):
+        # The horizontal torus arc drawn in two pieces whose joint lies on
+        # the vertical curve: only a curve's segments are read half open.
+        arc = [((0, 0), (3, 2)), ((3, 2), (12, 0))]
+        with pytest.raises(DegenerateRealization, match="segment endpoint"):
+            _literal_count(
+                torus_arc(Slope(0, 1)), arc, curve(T, Slope(1, 0)),
+                self.VERTICAL, self.UNIT,
             )
 
 
@@ -368,11 +351,11 @@ class TestSharedContexts:
     def test_shared_counts_equal_pair_counts(self, piece, data, shrink):
         objs = data.draw(configurations(piece))
         ctx = RealizationContext(objs)
-        scaled = ctx.scaled(shrink)
+        shrunk = RealizationContext(objs, shrink)
         for i, j in itertools.permutations(range(len(objs)), 2):
             pair = inum(objs[i], objs[j])
             assert ctx.count(i, j) == pair
-            assert scaled.count(i, j) == pair
+            assert shrunk.count(i, j) == pair
 
 
 class TestEndpointLinking:
@@ -481,7 +464,7 @@ KIND_PAIRS = [
     for a, b in itertools.combinations_with_replacement(kinds, 2)
 ]
 KIND_PAIR_IDS = [f"{piece.value}-{a}-{b}" for piece, a, b in KIND_PAIRS]
-# scaled(k) moves only waves, and waves live on the sphere
+# shrink moves only waves, and waves live on the sphere
 WAVE_PAIRS = [pair for pair in KIND_PAIRS if "wave" in pair]
 WAVE_PAIR_IDS = [f"{piece.value}-{a}-{b}" for piece, a, b in WAVE_PAIRS]
 SPHERE_PAIRS = [pair for pair in KIND_PAIRS if pair[0] is S]
@@ -508,7 +491,7 @@ class TestKernelProperties:
         x = data.draw(piece_objects(piece, kx))
         y = data.draw(piece_objects(piece, ky))
         assume(x != y)
-        ctx = RealizationContext((x, y)).scaled(shrink)
+        ctx = RealizationContext((x, y), shrink)
         assert ctx.count(0, 1) == literal_intersection_number(x, y, ctx)
         assert ctx.count(0, 1) == inum(x, y)
 
@@ -522,7 +505,7 @@ class TestKernelProperties:
         y = data.draw(piece_objects(piece, ky))
         assume(x != y)
         others = [data.draw(piece_objects(piece, "curve")) for _ in range(extra)]
-        ctx = RealizationContext((*others, x, y)).scaled(shrink)
+        ctx = RealizationContext((*others, x, y), shrink)
         i, j = extra, extra + 1
         if ky == "wave" and kx != "wave":  # count puts the wave on the x side
             i, j = j, i
@@ -533,6 +516,52 @@ class TestKernelProperties:
         )
         assert raw == ctx.count(i, j) == ctx.count(j, i)
         assert ctx.count(i, j) == literal_intersection_number(x, y, ctx)
+
+    @pytest.mark.parametrize("piece", (T, S), ids=lambda piece: piece.value)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), at_crossing=st.booleans(), x_side=st.booleans())
+    def test_split_period_counts_the_same(self, piece, data, at_crossing, x_side):
+        # a curve's period split at a grid point, on the other object or
+        # not, is read half open at the joint as at its anchor: the point
+        # is on exactly one of the two pieces
+        kinds = ("curve", "seam") if piece is T else ("curve", "seam", "wave")
+        c = data.draw(piece_objects(piece, "curve"))
+        y = data.draw(st.sampled_from(kinds).flatmap(partial(piece_objects, piece)))
+        assume(c != y)
+        ctx = RealizationContext((c, y))
+        L = ctx.scale
+        ((a, b, _),) = ctx.x_side(0)
+        d = (b[0] - a[0], b[1] - a[1])
+        steps = math.gcd(*d)  # the grid points of the period are a + k*d/steps
+        events = _crossing_events(c, ctx.x_side(0), y, ctx.y_side(1), L)
+        crossings = [
+            num * steps // den
+            for (num, den), _, _ in events
+            if num and num * steps % den == 0
+        ]
+        if at_crossing and crossings:
+            k = data.draw(st.sampled_from(crossings))
+        else:
+            k = data.draw(st.integers(1, steps - 1))
+        m = (a[0] + k * d[0] // steps, a[1] + k * d[1] // steps)
+        signs = (1,) if piece is T else (1, -1)
+
+        def signed(points):
+            return [
+                tuple((s * p[0], s * p[1]) for p in seg)
+                for seg in zip(points, points[1:])
+                for s in signs
+            ]
+
+        ((ya, yb, _),) = ctx.x_side(1)
+        ys = signed([ya, yb])
+
+        def count(segments):
+            if x_side:
+                return _literal_count(c, segments, y, ys, L)
+            return _literal_count(y, ys, c, segments, L)
+
+        assert count(signed([a, m, b])) == count(signed([a, b]))
 
     def test_count_makes_one_kernel_pass_per_pair(self, monkeypatch):
         passes = []

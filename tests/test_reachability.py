@@ -28,8 +28,9 @@ USERS = [
 ]
 
 ALLOWED = {
-    "tightness_check": "an oracle: checks a realization is in minimal position",
-    "scaled": "the stability oracle: recounts with the wave offsets shrunk",
+    "literal_intersection_number": (
+        "the independent oracle the kernel is checked against"
+    ),
     "error": "_Parser.error overrides argparse's, which argparse calls",
 }
 

@@ -136,16 +136,14 @@ class TestCrossingWalks:
         assert objects_of(comps) == [torus_arc(Slope(0, 1))] * 2
 
     def test_smaller_offsets_leave_components_alone(self):
-        # scaled(k) moves only waves; this one crosses the 0/1 seam once
+        # shrink moves only waves; this one crosses the 0/1 seam once
         objs = [
             seam(S, Slope(0, 1)),
             seam(S, Slope(1, 0)),
             wave(seam(S, Slope(2, 1)), "10"),
         ]
         base = neighborhood_boundary(objs)
-        shrunk = neighborhood_boundary(
-            objs, ctx=RealizationContext(objs).scaled(5)
-        )
+        shrunk = neighborhood_boundary(objs, ctx=RealizationContext(objs, 5))
         assert base == shrunk
 
     @pytest.mark.xfail(
@@ -190,7 +188,7 @@ class TestCrossingWalks:
 @st.composite
 def sphere_unions_with_a_curve_and_a_wave(draw, height=6):
     """A curve, a wave and at most one more object on the pillowcase, in
-    any order, and a set of welded labels; scaled(k) moves the wave."""
+    any order, and a set of welded labels; shrink moves the wave."""
     slopes = st.sampled_from(slopes_up_to(height))
 
     def seam_or_wave(kind):
@@ -213,7 +211,7 @@ def test_curve_unions_walk_as_on_shrunk_offsets(union, factor):
     try:
         base = neighborhood_boundary(objs, labels)
         shrunk = neighborhood_boundary(
-            objs, labels, ctx=RealizationContext(objs).scaled(factor)
+            objs, labels, ctx=RealizationContext(objs, factor)
         )
     except DegenerateRealization:
         assume(False)  # a triple point: no realization of it can be walked
